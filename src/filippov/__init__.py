@@ -15,7 +15,6 @@ from .field import (  # noqa: F401
     contact_info,
     contact_multiplicity,
     local_V2,
-    lyapunov_V2,
     sigma_regions,
     visibility,
 )

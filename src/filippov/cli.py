@@ -25,8 +25,9 @@ from .errors import (
     VerificationMismatch,
 )
 from .field import classify_mts
-from .flow import estimate_lyapunov, sample_displacement, write_delta_csv
+from .flow import displacement, estimate_lyapunov, write_delta_csv
 from .portrait import render_portrait
+from .record import jsonable
 from .scenario import (
     Scenario,
     load_scenario,
@@ -48,33 +49,21 @@ COMMANDS = ("classify", "lyapunov", "unfold", "verify-ladder", "verify-lemma1",
 LEMMA1_GATE = 1e-8
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, float):
-        return float(obj)
-    return obj
+def _unfold_params(scenario: Scenario):
+    if scenario.unfold is None:
+        raise InputError("this command needs an 'unfold' block in the scenario")
+    return scenario.unfold
 
 
 def _unfolded_shifted(scenario: Scenario):
-    if scenario.unfold is None:
-        raise InputError("this command needs an 'unfold' block in the scenario")
-    params = scenario.unfold
+    params = _unfold_params(scenario)
     Z = scenario.field
     if params.k >= 2:
-        polys = build_perturbation(Z, params)
-        Zu = build_unfolded(Z, polys)
+        Zu = build_unfolded(Z, build_perturbation(Z, params))
     else:
-        polys = None
         Zu = Z
     Zb = apply_shift(Zu, params.b, params.shift_convention)
-    return params, polys, Zu, Zb
+    return params, Zu, Zb
 
 
 def _delta_grid(scenario: Scenario, n: int):
@@ -96,9 +85,7 @@ def _cmd_lyapunov(scenario, args):
 
 
 def _cmd_unfold(scenario, args):
-    if scenario.unfold is None:
-        raise InputError("this command needs an 'unfold' block in the scenario")
-    polys = build_perturbation(scenario.field, scenario.unfold)
+    polys = build_perturbation(scenario.field, _unfold_params(scenario))
     Zu = build_unfolded(scenario.field, polys)
     payload = polys.to_json_dict()
     payload["unfolded"] = {
@@ -109,15 +96,13 @@ def _cmd_unfold(scenario, args):
 
 
 def _cmd_verify_ladder(scenario, args):
-    params, _, Zu, _ = _unfolded_shifted(scenario)
+    params, Zu, _ = _unfolded_shifted(scenario)
     report = verify_contact_ladder(Zu, params)
     return report.to_json_dict(), "ok", []
 
 
 def _cmd_verify_lemma1(scenario, args):
-    if scenario.unfold is None:
-        raise InputError("this command needs an 'unfold' block in the scenario")
-    k = scenario.unfold.k
+    k = _unfold_params(scenario).k
     gate = args.gate
     if args.draws > 0:
         rng = np.random.default_rng(args.seed)
@@ -156,17 +141,13 @@ def _random_lambda(rng, k: int, span: float = 3.0, min_gap: float = 0.2):
 
 
 def _cmd_verify_v2_limit(scenario, args):
-    if scenario.unfold is None:
-        raise InputError("this command needs an 'unfold' block in the scenario")
-    report = local_V2_limit_check(scenario.field, scenario.unfold)
+    report = local_V2_limit_check(scenario.field, _unfold_params(scenario))
     return report.to_json_dict(), "ok", []
 
 
 def _cmd_cycles(scenario, args):
-    if scenario.unfold is None:
-        raise InputError("this command needs an 'unfold' block in the scenario")
-    report = cycle_census(scenario.field, scenario.unfold, scenario.integrator,
-                          u_radius=scenario.window.radius)
+    report = cycle_census(scenario.field, _unfold_params(scenario),
+                          scenario.integrator, u_radius=scenario.window.radius)
     status = "ok" if report.passed else "mismatch"
     return report.to_json_dict(), status, list(report.diagnostics)
 
@@ -193,8 +174,8 @@ def _cmd_scan(scenario, args):
 
 def _cmd_delta_dump(scenario, args):
     xs = _delta_grid(scenario, 33)
-    samples = sample_displacement(scenario.field, xs, scenario.integrator,
-                                  base_x=scenario.window.center)
+    samples = [displacement(scenario.field, float(x), scenario.integrator,
+                            base_x=scenario.window.center) for x in xs]
     csv = _out_dir(scenario) / f"{scenario.name}.delta.csv"
     write_delta_csv(samples, csv)
     payload = {"n_samples": len(samples),
@@ -208,7 +189,7 @@ def _cmd_portrait(scenario, args):
     Z = scenario.field
     cycles = []
     if scenario.unfold is not None:
-        params, _, _, Zb = _unfolded_shifted(scenario)
+        params, _, Zb = _unfolded_shifted(scenario)
         Z = Zb
         if params.b != 0:
             diags: list = []
@@ -246,10 +227,14 @@ _DISPATCH = {
 }
 
 
+def _write_json(path: Path, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_report(scenario: Scenario, command: str, payload, status,
                   diagnostics) -> Path:
-    out_dir = Path(scenario.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "scenario": scenario.name,
         "command": command,
@@ -257,12 +242,10 @@ def _write_report(scenario: Scenario, command: str, payload, status,
         "tool_version": __version__,
         "status": status,
         "diagnostics": list(diagnostics),
-        "payload": _jsonable(payload),
+        "payload": jsonable(payload),
     }
-    path = out_dir / f"{scenario.name}.{command}.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = _out_dir(scenario) / f"{scenario.name}.{command}.json"
+    _write_json(path, report)
     return path
 
 
@@ -277,13 +260,8 @@ def run(config_path, command: str, b=None, epsilon=None, shift=None,
                               out=out)
 
     if dump_normalized:
-        out_dir = Path(scenario.outputs)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{scenario.name}.normalized.json"
-        doc = _jsonable(scenario_to_dict(scenario))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        doc = jsonable(scenario_to_dict(scenario))
+        _write_json(_out_dir(scenario) / f"{scenario.name}.normalized.json", doc)
         return 0, doc
 
     args = argparse.Namespace(seed=seed, gate=gate, draws=draws,
@@ -293,8 +271,7 @@ def run(config_path, command: str, b=None, epsilon=None, shift=None,
         payload, status, diagnostics = handler(scenario, args)
         code = 0 if status == "ok" else 3
     except VerificationMismatch as exc:
-        payload = exc.report.to_json_dict() if hasattr(exc.report, "to_json_dict") \
-            else (exc.report or {})
+        payload = exc.report or {}
         status, diagnostics, code = "mismatch", [str(exc)], 3
     except InputError as exc:
         payload, status, diagnostics, code = {}, "error", [str(exc)], 1

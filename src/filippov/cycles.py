@@ -23,6 +23,7 @@ from .errors import (
 )
 from .field import PiecewiseField, SigmaSegment, classify_mts, sigma_regions
 from .flow import IntegratorConfig, displacement, estimate_lyapunov, half_return
+from .record import Record
 from .unfold import (
     UnfoldingParams,
     apply_shift,
@@ -40,7 +41,7 @@ GRID_POINTS = 50
 
 
 @dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(Record):
     """One hyperbolic crossing cycle found as a displacement root."""
 
     x_star: float
@@ -51,19 +52,6 @@ class LimitCycle:
     derivative: float
     enclosed_segment: SigmaSegment | None
     x_left: float  # other chord endpoint on the switching line
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_star": float(self.x_star),
-            "b": float(self.b),
-            "window_center": float(self.window_center),
-            "amplitude": float(self.amplitude),
-            "stability": self.stability,
-            "derivative": float(self.derivative),
-            "x_left": float(self.x_left),
-            "enclosed_segment": (None if self.enclosed_segment is None
-                                 else self.enclosed_segment.to_json_dict()),
-        }
 
 
 @dataclass(frozen=True)
@@ -113,8 +101,8 @@ def cycle_producing_sign(delta: int, V2: float, convention: str) -> int:
     return base
 
 
-@dataclass
-class ScanRow:
+@dataclass(frozen=True)
+class ScanRow(Record):
     b: float
     n_cycles: int
     stability: str
@@ -122,32 +110,13 @@ class ScanRow:
     amplitude: float | None
     predicted_amplitude: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "b": float(self.b),
-            "n_cycles": self.n_cycles,
-            "stability": self.stability,
-            "sliding_kind": self.sliding_kind,
-            "amplitude": None if self.amplitude is None else float(self.amplitude),
-            "predicted_amplitude": (None if self.predicted_amplitude is None
-                                    else float(self.predicted_amplitude)),
-        }
 
-
-@dataclass
-class ScanTable:
+@dataclass(frozen=True)
+class ScanTable(Record):
     convention: str
     rows: list
     ell: int | None
     V2ell: float | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "ell": self.ell,
-            "V2ell": None if self.V2ell is None else float(self.V2ell),
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -161,8 +130,8 @@ class ScanTable:
                          f"{r.sliding_kind},{amp},{pred}\n")
 
 
-@dataclass
-class CensusReport:
+@dataclass(frozen=True)
+class CensusReport(Record):
     k: int
     b: float
     convention: str
@@ -171,16 +140,7 @@ class CensusReport:
     passed: bool
     diagnostics: list
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "b": float(self.b),
-            "convention": self.convention,
-            "expected_count": self.expected_count,
-            "pass": self.passed,
-            "cycles": [c.to_json_dict() for c in self.cycles],
-            "diagnostics": list(self.diagnostics),
-        }
+    json_renames = {"passed": "pass"}
 
 
 def _bisect_root(fn, x_lo, x_hi, v_lo):
@@ -221,19 +181,11 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     u_lo = abs(b) * (1.0 + 1e-3) if b != 0 else radius * 1e-4
     if u_lo >= radius:
         raise InputError(f"|b|={abs(b)} leaves no room inside radius {radius}")
-    cfg_local = cfg.with_window(window_center - 2.5 * radius,
-                                window_center + 2.5 * radius)
+    grid, values, cfg_local = _sample_grid(
+        Z_b, window_center, radius, u_lo, GRID_POINTS, cfg)
 
     def delta_at(x):
         return displacement(Z_b, x, cfg_local, base_x=window_center).delta_value
-
-    grid = window_center + np.geomspace(u_lo, radius, GRID_POINTS)
-    values = []
-    for x in grid:
-        try:
-            values.append(float(delta_at(float(x))))
-        except FilippovError:
-            values.append(None)
 
     valid = [v for v in values if v is not None]
     if not valid:
@@ -360,8 +312,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
 
     visible_hit = False
     for i in sorted(set(centers) - set(invisible)):
-        hits = _coarse_scan(Zb, centers[i], radius, b, cfg)
-        if hits:
+        if _coarse_scan(Zb, centers[i], radius, b, cfg):
             visible_hit = True
             diagnostics.append(
                 f"unexpected displacement sign change near visible contact "
@@ -381,27 +332,34 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                         diagnostics=diagnostics)
 
 
-def _coarse_scan(Z_b, center, radius, b, cfg, n_points: int = 12) -> list:
-    """Sign changes of the displacement near a window, skipping failed arcs."""
-    u_lo = max(abs(b) * 2.0, radius * 1e-3)
+def _sample_grid(Z_b, center, radius, u_lo, n_points, cfg):
+    """Displacement on the geometric grid ``center + (u_lo .. radius)``.
+
+    Returns the grid, the values (None where an arc failed) and the config
+    windowed to ``center +- 2.5 * radius`` that produced them.
+    """
     cfg_local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
     grid = center + np.geomspace(u_lo, radius, n_points)
-    vals = []
+    values = []
     for x in grid:
         try:
-            vals.append(displacement(Z_b, float(x), cfg_local,
-                                     base_x=center).delta_value)
+            values.append(float(displacement(
+                Z_b, float(x), cfg_local, base_x=center).delta_value))
         except FilippovError:
-            vals.append(None)
-    hits = []
-    for i in range(len(vals) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 is None or v1 is None or v0 == 0.0:
-            continue
-        noise = 10.0 * cfg.event_tol
-        if (v0 < 0) != (v1 < 0) and max(abs(v0), abs(v1)) > noise:
-            hits.append((float(grid[i]), float(grid[i + 1])))
-    return hits
+            values.append(None)
+    return grid, values, cfg_local
+
+
+def _coarse_scan(Z_b, center, radius, b, cfg, n_points: int = 12) -> bool:
+    """Whether the displacement changes sign above noise near a window,
+    skipping failed arcs."""
+    _, vals, _ = _sample_grid(Z_b, center, radius,
+                              max(abs(b) * 2.0, radius * 1e-3), n_points, cfg)
+    noise = 10.0 * cfg.event_tol
+    return any(
+        v0 is not None and v1 is not None and v0 != 0.0
+        and (v0 < 0) != (v1 < 0) and max(abs(v0), abs(v1)) > noise
+        for v0, v1 in zip(vals, vals[1:]))
 
 
 def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,

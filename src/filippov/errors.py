@@ -89,9 +89,5 @@ class Inconclusive(NumericalError):
     """A fit did not meet its quality gates."""
 
 
-class NonHyperbolic(NumericalError):
-    """A displacement root has derivative below the hyperbolicity margin."""
-
-
 class ScaleSeparationViolated(NumericalError):
     """Cycle search windows would overlap at the requested parameters."""

@@ -36,6 +36,7 @@ from .errors import (
     SingularX,
 )
 from .poly import Poly1, Poly2
+from .record import Record
 
 # A derivative (coefficient) counts as zero below this relative threshold;
 # polynomial inputs make smaller values pure rounding artifacts.
@@ -56,8 +57,9 @@ class SmoothField:
     X: Poly2
     Y: Poly2
 
-    def velocity(self, x, y):
-        return self.X.eval(x, y), self.Y.eval(x, y)
+    def shift_x(self, h) -> "SmoothField":
+        """The field in coordinates moved by ``h``: new(x, y) = old(x+h, y)."""
+        return SmoothField(self.X.shift_x(h), self.Y.shift_x(h))
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class ContactInfo:
 
 
 @dataclass(frozen=True)
-class MonodromyData:
+class MonodromyData(Record):
     """Local data of a monodromic tangential singularity at the origin."""
 
     k_plus: int
@@ -102,25 +104,9 @@ class MonodromyData:
     alpha2_minus: float
     V2: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k_plus": self.k_plus,
-            "k_minus": self.k_minus,
-            "delta": self.delta,
-            "a_plus": float(self.a_plus),
-            "a_minus": float(self.a_minus),
-            "f0_plus": float(self.f0_plus),
-            "f0_minus": float(self.f0_minus),
-            "g00_plus": float(self.g00_plus),
-            "g00_minus": float(self.g00_minus),
-            "alpha2_plus": float(self.alpha2_plus),
-            "alpha2_minus": float(self.alpha2_minus),
-            "V2": float(self.V2),
-        }
-
 
 @dataclass(frozen=True)
-class SigmaSegment:
+class SigmaSegment(Record):
     """One piece of the switching line between consecutive contact points."""
 
     interval: tuple
@@ -213,12 +199,12 @@ def _side_multiplicity(f: SmoothField, side: str) -> int:
     return mult
 
 
-def _f0(f: SmoothField, sign: int, delta: int, a, k: int):
-    """Leading correction coefficient beyond the tangency order.
+def correction_quotient(f: SmoothField, sign: int, delta: int, a, k: int):
+    """Quotient ``q`` and ``X(x, 0)`` with ``f = q / X(x, 0)`` the correction
+    function of one side beyond the tangency order.
 
-    Extracted as a Taylor coefficient: the numerator
-    ``sign*delta*Y(x,0) - a*x^{2k-1}*X(x,0)`` is divisible by ``x^{2k}``
-    exactly, which is asserted rather than assumed.
+    The numerator ``sign*delta*Y(x,0) - a*x^{2k-1}*X(x,0)`` is divisible by
+    ``x^{2k}`` exactly, which is asserted rather than assumed.
     """
     py = f.Y.restrict_sigma()
     px = f.X.restrict_sigma()
@@ -227,8 +213,8 @@ def _f0(f: SmoothField, sign: int, delta: int, a, k: int):
     scale = max(1.0, num.max_abs_coeff())
     if residual > DIV_RESIDUAL_TOL * scale:
         raise DivisionResidual(
-            f"numerator of f0 not divisible by x^{2 * k}: residual {residual:.3e}")
-    return q.coeff(0) / px.coeff(0)
+            f"numerator of f not divisible by x^{2 * k}: residual {residual:.3e}")
+    return q, px
 
 
 def _g00(f: SmoothField, sign: int, delta: int):
@@ -277,8 +263,9 @@ def classify_mts(Z: PiecewiseField) -> MonodromyData:
     delta = 1 if xu0 > 0 else -1
     a_p = cu / abs(xu0)
     a_m = cl / abs(xl0)
-    f0_p = _f0(Z.upper, +1, delta, a_p, k_p)
-    f0_m = _f0(Z.lower, -1, delta, a_m, k_m)
+    # f(0) is a Taylor coefficient of the exact quotient
+    f0_p = correction_quotient(Z.upper, +1, delta, a_p, k_p)[0].coeff(0) / xu0
+    f0_m = correction_quotient(Z.lower, -1, delta, a_m, k_m)[0].coeff(0) / xl0
     g00_p = _g00(Z.upper, +1, delta)
     g00_m = _g00(Z.lower, -1, delta)
     alpha2_p = (-2 * f0_p + 2 * delta * a_p * g00_p) / (a_p * (2 * k_p + 1))
@@ -299,26 +286,13 @@ def classify_mts(Z: PiecewiseField) -> MonodromyData:
     )
 
 
-def lyapunov_V2(d: MonodromyData):
-    """Second displacement coefficient ``delta * (alpha2_plus - alpha2_minus)``."""
-    return d.delta * (d.alpha2_plus - d.alpha2_minus)
-
-
-def translate(Z: PiecewiseField, h) -> PiecewiseField:
-    """The field in coordinates centered at ``(h, 0)``: new(x, y) = old(x+h, y)."""
-    return PiecewiseField(
-        upper=SmoothField(Z.upper.X.shift_x(h), Z.upper.Y.shift_x(h)),
-        lower=SmoothField(Z.lower.X.shift_x(h), Z.lower.Y.shift_x(h)),
-    )
-
-
 def local_V2(Z: PiecewiseField, x0: float):
     """``V2`` of the two-fold pair sitting at ``(x0, 0)``.
 
     Translates the point to the origin and classifies; the point must be a
     multiplicity-2 invisible tangency for both fields.
     """
-    d = classify_mts(translate(Z, x0))
+    d = classify_mts(PiecewiseField(Z.upper.shift_x(x0), Z.lower.shift_x(x0)))
     if d.k_plus != 1 or d.k_minus != 1:
         raise NotMonodromic(
             "C1",

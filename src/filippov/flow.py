@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import InputError, NoReturn, NotInWindow, StepFailure, Inconclusive
 from .field import PiecewiseField, SmoothField
+from .record import Record
 
 # First integration chunk length; grown geometrically until max_time.
 _CHUNK0 = 0.25
@@ -44,6 +45,17 @@ class IntegratorConfig:
     max_time: float = 50.0
     window: tuple | None = None
 
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "event_tol", "guard_height",
+                     "guard_time", "max_time"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(
+                    f"integrator option {name}={value} must be positive and finite")
+        if not self.max_step > 0:
+            raise InputError(
+                f"integrator option max_step={self.max_step} must be positive")
+
     def with_window(self, lo: float, hi: float) -> "IntegratorConfig":
         return replace(self, window=(lo, hi))
 
@@ -59,7 +71,7 @@ class ReturnSample:
 
 
 @dataclass(frozen=True)
-class LyapunovEstimate:
+class LyapunovEstimate(Record):
     """Leading-order fit of the displacement function on a window.
 
     ``order`` is the nearest-integer slope of ``log|delta|`` against
@@ -71,17 +83,8 @@ class LyapunovEstimate:
     order: int
     coefficient: float
     fit_r2: float
-    window: tuple
+    window: tuple[float, float]
     center: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "coefficient": float(self.coefficient),
-            "fit_r2": float(self.fit_r2),
-            "window": [float(self.window[0]), float(self.window[1])],
-            "center": self.center,
-        }
 
 
 def _refined_mesh(ts: np.ndarray) -> np.ndarray:
@@ -192,26 +195,34 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
         f"no return to the switching line within max_time={cfg.max_time}")
 
 
-def half_return(Z: PiecewiseField, side: str, x: float,
-                cfg: IntegratorConfig) -> float:
-    """Other endpoint of the one-sided orbit arc through ``(x, 0)``.
+def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
+    """One-sided orbit arc through ``(x, 0)`` into the side's half-plane.
 
-    The arc is integrated into the side's half-plane: forward in time when
-    the field at ``(x, 0)`` points into it, backward otherwise.  By
-    continuity the map fixes the singularity itself, so ``x = 0`` with a
-    vanishing vertical component returns 0.
+    The arc is integrated forward in time when the field at ``(x, 0)``
+    points into the half-plane, backward otherwise.  Returns
+    ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
+    tangency start raises :class:`InputError`.
     """
     field = Z.side(side)
     y0 = float(field.Y.eval(x, 0.0))
     if y0 == 0.0:
-        if x == 0.0:
-            return 0.0
         raise InputError(
             f"({x}, 0) is a tangency point; the half-return map is undefined")
     into = y0 > 0.0 if side == "upper" else y0 < 0.0
     direction = "forward" if into else "backward"
-    x_return, _ = integrate_to_sigma(field, (x, 0.0), direction, cfg)
-    return x_return
+    return integrate_to_sigma(field, (x, 0.0), direction, cfg)
+
+
+def half_return(Z: PiecewiseField, side: str, x: float,
+                cfg: IntegratorConfig) -> float:
+    """Other endpoint of the one-sided orbit arc through ``(x, 0)``.
+
+    By continuity the map fixes the singularity itself, so ``x = 0`` with a
+    vanishing vertical component returns 0; elsewhere see :func:`half_arc`.
+    """
+    if x == 0.0 and float(Z.side(side).Y.eval(x, 0.0)) == 0.0:
+        return 0.0
+    return half_arc(Z, side, x, cfg)[0]
 
 
 def displacement(Z: PiecewiseField, x: float, cfg: IntegratorConfig,
@@ -230,11 +241,6 @@ def displacement(Z: PiecewiseField, x: float, cfg: IntegratorConfig,
     pm = half_return(Z, "lower", x, cfg)
     return ReturnSample(x=x, phi_plus=pp, phi_minus=pm,
                         delta_value=delta * (pp - pm))
-
-
-def sample_displacement(Z: PiecewiseField, xs, cfg: IntegratorConfig,
-                        base_x: float = 0.0) -> list:
-    return [displacement(Z, float(x), cfg, base_x=base_x) for x in xs]
 
 
 def estimate_lyapunov(Z: PiecewiseField, window, cfg: IntegratorConfig,

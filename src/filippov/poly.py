@@ -16,6 +16,7 @@ Values are immutable after construction: all operations return new objects.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, DuplicateTerm, InputError
@@ -31,7 +32,7 @@ DROP_TOL = 1e-14
 def _keep(c) -> bool:
     if isinstance(c, (Fraction, int)):
         return c != 0
-    return abs(c) >= DROP_TOL
+    return not abs(c) < DROP_TOL  # NaN is kept, never silently dropped
 
 
 class Poly2:
@@ -58,14 +59,20 @@ class Poly2:
     def from_triples(cls, triples) -> "Poly2":
         """Build from serialized ``[i, j, coefficient]`` triples.
 
-        Duplicate exponent pairs are an input error, not an accumulation.
+        Duplicate exponent pairs are an input error, not an accumulation,
+        and so is a coefficient that is not a finite real number.
         """
         terms = {}
         for entry in triples:
-            if len(entry) != 3:
-                raise InputError(f"malformed monomial entry {entry!r}")
-            i, j, c = entry
-            key = (int(i), int(j))
+            try:
+                i, j, c = entry
+                key = (int(i), int(j))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"malformed monomial entry {entry!r}") from exc
+            finite = isinstance(c, (int, Fraction)) or (
+                isinstance(c, numbers.Real) and math.isfinite(c))
+            if isinstance(c, bool) or not finite:
+                raise InputError(f"coefficient {c!r} of {key} is not a finite number")
             if key in terms:
                 raise DuplicateTerm(f"duplicate exponent pair {key}")
             terms[key] = c
@@ -74,10 +81,6 @@ class Poly2:
     @classmethod
     def constant(cls, c) -> "Poly2":
         return cls({(0, 0): c})
-
-    @classmethod
-    def monomial(cls, i: int, j: int, c=1.0) -> "Poly2":
-        return cls({(i, j): c})
 
     # -- queries ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FilippovError
 from .field import PiecewiseField, sigma_regions
-from .flow import IntegratorConfig, integrate_to_sigma
+from .flow import IntegratorConfig, half_arc
 
 _W, _H = 840, 520
 _MARGIN = 40
@@ -22,41 +22,24 @@ def _collect_arcs(Z: PiecewiseField, center: float, radius: float,
                   cfg: IntegratorConfig):
     """A few representative one-sided arcs through the window."""
     arcs = []
-    cfg = cfg.with_window(center - 3.0 * radius, center + 3.0 * radius)
     fractions = (0.35, 0.6, 0.85)
     for side in ("upper", "lower"):
-        field = Z.side(side)
         for frac in fractions:
-            x = center + frac * radius
-            y0 = float(field.Y.eval(x, 0.0))
-            if y0 == 0.0:
-                continue
-            into = y0 > 0.0 if side == "upper" else y0 < 0.0
-            direction = "forward" if into else "backward"
             try:
-                _, path = integrate_to_sigma(field, (x, 0.0), direction, cfg)
+                _, path = half_arc(Z, side, center + frac * radius, cfg)
             except FilippovError:
                 continue
             arcs.append((f"{side}-arc-x{frac:.2f}", path))
     return arcs
 
 
-def _cycle_curves(Z: PiecewiseField, cycles, cfg: IntegratorConfig,
-                  center: float, radius: float):
+def _cycle_curves(Z: PiecewiseField, cycles, cfg: IntegratorConfig):
     curves = []
-    cfg = cfg.with_window(center - 3.0 * radius, center + 3.0 * radius)
     for n, cyc in enumerate(cycles):
         pieces = []
         for side in ("upper", "lower"):
-            field = Z.side(side)
-            x = cyc.x_star
-            y0 = float(field.Y.eval(x, 0.0))
-            if y0 == 0.0:
-                continue
-            into = y0 > 0.0 if side == "upper" else y0 < 0.0
-            direction = "forward" if into else "backward"
             try:
-                _, path = integrate_to_sigma(field, (x, 0.0), direction, cfg)
+                _, path = half_arc(Z, side, cyc.x_star, cfg)
             except FilippovError:
                 continue
             pieces.append(path)
@@ -84,8 +67,9 @@ def render_portrait(Z: PiecewiseField, center: float, radius: float,
     lo, hi = center - radius, center + radius
     segments = sigma_regions(Z, (lo, hi))
     folds = _fold_points(Z, lo, hi)
+    cfg = cfg.with_window(center - 3.0 * radius, center + 3.0 * radius)
     arcs = _collect_arcs(Z, center, radius, cfg)
-    closed = _cycle_curves(Z, cycles, cfg, center, radius)
+    closed = _cycle_curves(Z, cycles, cfg)
 
     ys = [0.0]
     for _, path in arcs + closed:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -78,18 +79,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed unfold block: {exc}") from exc
 
-    overrides = {}
-    for key, value in (doc.get("integrator") or {}).items():
-        if key not in _INTEGRATOR_KEYS:
-            raise InputError(f"unknown integrator option {key!r}")
-        overrides[key] = float(value)
-    integrator = IntegratorConfig(**overrides)
-
     wdoc = doc.get("window") or {}
-    window = Window(center=float(wdoc.get("center", 0.0)),
-                    radius=float(wdoc.get("radius", 0.3)))
-    if not window.radius > 0:
-        raise InputError("window radius must be positive")
+    try:
+        overrides = {}
+        for key, value in (doc.get("integrator") or {}).items():
+            if key not in _INTEGRATOR_KEYS:
+                raise InputError(f"unknown integrator option {key!r}")
+            overrides[key] = float(value)
+        integrator = IntegratorConfig(**overrides)
+        window = Window(center=float(wdoc.get("center", 0.0)),
+                        radius=float(wdoc.get("radius", 0.3)))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed integrator or window value: {exc}") from exc
+    if not (math.isfinite(window.center) and 0 < window.radius < math.inf):
+        raise InputError("window center must be finite, radius positive and finite")
 
     outputs = str(doc.get("outputs", "out"))
     return Scenario(name=name, field=field, unfold=unfold,

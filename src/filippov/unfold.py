@@ -30,13 +30,14 @@ rules at each node, and cross-side proportionalities) that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
-    DivisionResidual,
+    FilippovError,
     IllConditioned,
     InputError,
     InvalidLambda,
@@ -48,10 +49,12 @@ from .field import (
     SmoothField,
     classify_mts,
     contact_multiplicity,
+    correction_quotient,
     local_V2,
     visibility,
 )
 from .poly import Poly1, Poly2
+from .record import Record
 
 # Membership gates for the parameter domain: the domain is open, and nearly
 # coincident nodes make double-precision interpolation meaningless.
@@ -93,7 +96,7 @@ class UnfoldingParams:
 
 
 @dataclass(frozen=True)
-class PerturbationPolys:
+class PerturbationPolys(Record):
     """The two perturbation polynomials with their coefficient norms."""
 
     p_plus: Poly1
@@ -101,17 +104,9 @@ class PerturbationPolys:
     norm_plus: float
     norm_minus: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_plus": self.p_plus.to_list(),
-            "p_minus": self.p_minus.to_list(),
-            "norm_plus": float(self.norm_plus),
-            "norm_minus": float(self.norm_minus),
-        }
 
-
-@dataclass
-class ContactRecord:
+@dataclass(frozen=True)
+class ContactRecord(Record):
     index: int
     x0: float
     residual_plus: float
@@ -123,39 +118,20 @@ class ContactRecord:
     expected: str
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "x0": float(self.x0),
-            "residual_plus": float(self.residual_plus),
-            "residual_minus": float(self.residual_minus),
-            "mult_plus": self.mult_plus,
-            "mult_minus": self.mult_minus,
-            "vis_plus": self.vis_plus,
-            "vis_minus": self.vis_minus,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
 
-
-@dataclass
-class LadderReport:
+@dataclass(frozen=True)
+class LadderReport(Record):
     contacts: list
     ok: bool
+
+    json_computed = {"failing_abscissas": "failures"}
 
     def failures(self) -> list:
         return [r.x0 for r in self.contacts if not r.ok]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "contacts": [r.to_json_dict() for r in self.contacts],
-            "failing_abscissas": self.failures(),
-        }
 
-
-@dataclass
-class Lemma1Entry:
+@dataclass(frozen=True)
+class Lemma1Entry(Record):
     index: int
     a_i: float
     s1_plus: float
@@ -171,36 +147,22 @@ class Lemma1Entry:
     s4_residual_plus: float
     s4_residual_minus: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "a_i": float(self.a_i),
-            "s1_plus": float(self.s1_plus),
-            "s2_plus": float(self.s2_plus),
-            "s3_plus": float(self.s3_plus),
-            "s4_plus": float(self.s4_plus),
-            "s1_minus": float(self.s1_minus),
-            "s2_minus": float(self.s2_minus),
-            "s3_minus": float(self.s3_minus),
-            "s4_minus": float(self.s4_minus),
-            "s2_residual_plus": float(self.s2_residual_plus),
-            "s2_residual_minus": float(self.s2_residual_minus),
-            "s4_residual_plus": float(self.s4_residual_plus),
-            "s4_residual_minus": float(self.s4_residual_minus),
-        }
 
-
-@dataclass
-class Lemma1Report:
+@dataclass(frozen=True)
+class Lemma1Report(Record):
     alpha: float
-    c_plus: list
-    c_minus: list
-    dc_plus: list
-    dc_minus: list
+    c_plus: list[float]
+    c_minus: list[float]
+    dc_plus: list[float]
+    dc_minus: list[float]
     entries: list
-    factorization_residuals: dict
-    cross_side_residuals: dict
+    factorization_residuals: dict[str, float]
+    cross_side_residuals: dict[str, float | None]
     mode: str = "numeric"
+
+    json_renames = {"c_plus": "C_plus", "c_minus": "C_minus",
+                    "dc_plus": "dC_plus", "dc_minus": "dC_minus"}
+    json_computed = {"max_residual": "max_residual"}
 
     def max_residual(self) -> float:
         vals = []
@@ -211,62 +173,25 @@ class Lemma1Report:
         vals += [v for v in self.cross_side_residuals.values() if v is not None]
         return max(float(v) for v in vals) if vals else 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": float(self.alpha),
-            "C_plus": [float(v) for v in self.c_plus],
-            "C_minus": [float(v) for v in self.c_minus],
-            "dC_plus": [float(v) for v in self.dc_plus],
-            "dC_minus": [float(v) for v in self.dc_minus],
-            "entries": [e.to_json_dict() for e in self.entries],
-            "factorization_residuals": {
-                k: float(v) for k, v in self.factorization_residuals.items()},
-            "cross_side_residuals": {
-                k: (None if v is None else float(v))
-                for k, v in self.cross_side_residuals.items()},
-            "max_residual": self.max_residual(),
-        }
 
-
-@dataclass
-class V2LimitRow:
+@dataclass(frozen=True)
+class V2LimitRow(Record):
     index: int
     a_i: float
-    abscissas: list
-    values: list
-    errors: list
+    abscissas: list[float]
+    values: list[float]
+    errors: list[float]
     fitted_order: float
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "a_i": float(self.a_i),
-            "abscissas": [float(v) for v in self.abscissas],
-            "values": [float(v) for v in self.values],
-            "errors": [float(v) for v in self.errors],
-            "fitted_order": float(self.fitted_order),
-            "ok": self.ok,
-        }
 
-
-@dataclass
-class V2LimitReport:
+@dataclass(frozen=True)
+class V2LimitReport(Record):
     limit: float
     V2: float
-    eps_grid: list
+    eps_grid: list[float]
     rows: list
     ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "limit": float(self.limit),
-            "V2": float(self.V2),
-            "eps_grid": [float(v) for v in self.eps_grid],
-            "rows": [r.to_json_dict() for r in self.rows],
-            "ok": self.ok,
-        }
 
 
 # --- interpolation machinery -------------------------------------------------
@@ -316,28 +241,6 @@ def newton_through_origin(nodes, values):
     return coeffs
 
 
-def _f_factory(f: SmoothField, sign: int, delta: int, a, k: int):
-    """Exact evaluator of the correction function ``f`` of one side.
-
-    The numerator ``sign*delta*Y(x,0) - a*x^{2k-1}*X(x,0)`` is divided by
-    ``x^{2k}`` exactly (residual gated), then by the value of ``X(x, 0)`` at
-    the evaluation point.
-    """
-    py = f.Y.restrict_sigma()
-    px = f.X.restrict_sigma()
-    num = (sign * delta) * py - a * px.times_x_power(2 * k - 1)
-    q, residual = num.divide_x_power(2 * k)
-    scale = max(1.0, num.max_abs_coeff())
-    if residual > 1e-10 * scale:
-        raise DivisionResidual(
-            f"numerator not divisible by x^{2 * k}: residual {residual:.3e}")
-
-    def f_at(x):
-        return q(x) / px(x)
-
-    return f_at
-
-
 def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
     """Interpolation values at the nodes ``epsilon * a_i`` for both sides.
 
@@ -349,18 +252,18 @@ def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
         raise InputError("equal tangency orders on both sides are required")
     k = data.k_plus
     delta = data.delta
-    f_up = _f_factory(Z.upper, +1, delta, data.a_plus, k)
-    f_lo = _f_factory(Z.lower, -1, delta, data.a_minus, k)
+    q_up, x_up = correction_quotient(Z.upper, +1, delta, data.a_plus, k)
+    q_lo, x_lo = correction_quotient(Z.lower, -1, delta, data.a_minus, k)
     xi_p, xi_m = [], []
     for a_i in lam:
         x_i = epsilon * a_i
         common = epsilon ** (2 * k - 1)
         xi_p.append(-delta * common
                     * (data.a_plus * a_i ** (2 * k - 1)
-                       + epsilon * a_i ** (2 * k) * f_up(x_i)))
+                       + epsilon * a_i ** (2 * k) * (q_up(x_i) / x_up(x_i))))
         xi_m.append(+delta * common
                     * (data.a_minus * a_i ** (2 * k - 1)
-                       + epsilon * a_i ** (2 * k) * f_lo(x_i)))
+                       + epsilon * a_i ** (2 * k) * (q_lo(x_i) / x_lo(x_i))))
     return xi_p, xi_m
 
 
@@ -379,8 +282,8 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
     if params.k != data.k_plus:
         raise InputError(
             f"params.k={params.k} but the field has order k={data.k_plus}")
-    if not params.epsilon > 0:
-        raise InputError("epsilon must be positive")
+    if not 0 < params.epsilon < math.inf:
+        raise InputError("epsilon must be positive and finite")
     validate_lambda(params.lam, params.k)
     k = params.k
     if k == 1:
@@ -432,13 +335,13 @@ def apply_shift(Z: PiecewiseField, b: float,
     """
     if convention not in ("minus", "plus"):
         raise InputError(f"unknown shift convention {convention!r}")
+    if not math.isfinite(b):
+        raise InputError(f"shift b={b} is not a finite number")
     if b == 0:
         return Z
-    h = -b if convention == "minus" else b
     return PiecewiseField(
-        upper=SmoothField(Z.upper.X.shift_x(h), Z.upper.Y.shift_x(h)),
-        lower=Z.lower,
-    )
+        upper=Z.upper.shift_x(-b if convention == "minus" else b),
+        lower=Z.lower)
 
 
 # --- verifiers ---------------------------------------------------------------
@@ -497,7 +400,7 @@ def verify_contact_ladder(Z_unfolded: PiecewiseField,
             if mult_l == 2:
                 vis_l = visibility(Z_unfolded.lower, x0, 2, "lower")
             ok = ok and vis_u == expected and vis_l == expected
-        except Exception as exc:  # classification failures are ladder failures
+        except FilippovError as exc:  # classification failures are ladder failures
             vis_u = vis_l = f"error: {exc}"
             ok = False
         records.append(ContactRecord(

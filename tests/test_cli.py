@@ -231,3 +231,43 @@ def test_shipped_scenarios_parse():
     assert files, "shipped scenario files are missing"
     for f in files:
         load_scenario(str(f))
+
+
+def _nan_coefficient(doc):
+    doc["field"]["upper"]["Y"][0][2] = float("nan")
+
+
+def _text_coefficient(doc):
+    doc["field"]["upper"]["Y"][0][2] = "abc"
+
+
+def _bad_integrator(doc):
+    doc["integrator"] = {"rel_tol": -1, "max_time": -5}
+
+
+def _infinite_window(doc):
+    doc["window"] = {"center": 0.0, "radius": float("inf")}
+
+
+@pytest.mark.parametrize("edit, argv, loads", [
+    (_text_coefficient, ["classify"], False),
+    (_nan_coefficient, ["classify"], False),
+    (_bad_integrator, ["cycles"], False),
+    (_infinite_window, ["delta-dump"], False),
+    (None, ["unfold", "--epsilon", "inf"], True),
+    (None, ["cycles", "--b", "nan"], True),
+    (None, ["scan", "--b-values=nan"], True),
+])
+def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
+                                                   edit, argv, loads):
+    unfold = {"k": 2, "lambda": [-1.0, 1.0], "epsilon": 0.1, "b": -1e-6,
+              "shift": "minus"}
+    doc = family_doc("bad", 2, 1.0, unfold=unfold)
+    if edit is not None:
+        edit(doc)
+    path = scenario_path(doc)
+    assert main([*argv, "--config", path]) == 1
+    report = tmp_path / "out" / f"bad.{argv[0]}.json"
+    assert report.exists() == loads
+    if loads:
+        assert json.loads(report.read_text())["status"] == "error"

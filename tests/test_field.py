@@ -9,7 +9,6 @@ from filippov import (
     contact_info,
     contact_multiplicity,
     local_V2,
-    lyapunov_V2,
     monodromic_family,
     cross_coupled_system,
     family_V2,
@@ -130,7 +129,6 @@ def test_classify_family_base_case():
 def test_classify_family_V2(k, c):
     d = classify_mts(monodromic_family(k, c))
     assert d.V2 == pytest.approx(family_V2(k, c), abs=1e-12)
-    assert lyapunov_V2(d) == pytest.approx(d.V2, abs=1e-15)
 
 
 def test_classify_cross_coupled():

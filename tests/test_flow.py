@@ -16,7 +16,7 @@ from filippov import (
 )
 from filippov.errors import InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
-from filippov.flow import sample_displacement, write_delta_csv
+from filippov.flow import write_delta_csv
 from filippov.poly import Poly2
 
 
@@ -189,7 +189,7 @@ def test_window_validation(cfg):
 
 def test_delta_csv_format(cfg, tmp_path):
     Z = monodromic_family(1, 1.0)
-    samples = sample_displacement(Z, [0.05, 0.1], cfg)
+    samples = [displacement(Z, x, cfg) for x in (0.05, 0.1)]
     path = tmp_path / "delta.csv"
     write_delta_csv(samples, path)
     lines = path.read_text().splitlines()

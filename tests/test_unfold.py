@@ -332,6 +332,20 @@ def test_ladder_requires_ordered_nodes():
         verify_contact_ladder(Z, params)
 
 
+def test_ladder_propagates_programming_errors(monkeypatch):
+    # only classification failures count as ladder failures; a defect in
+    # the code under the ladder must surface, not be reported as a mismatch
+    def broken(field, x0):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr("filippov.unfold.contact_multiplicity", broken)
+    Z = monodromic_family(2, 1.0)
+    params = params_for(2, (-1.0, 1.0), 0.1)
+    with pytest.raises(ZeroDivisionError):
+        verify_contact_ladder(
+            build_unfolded(Z, build_perturbation(Z, params)), params)
+
+
 # -- identity system -------------------------------------------------------------
 
 def test_lemma1_closed_form_instance():
