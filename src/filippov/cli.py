@@ -35,11 +35,11 @@ from .scenario import (
     with_overrides,
 )
 from .unfold import (
-    apply_shift,
     build_perturbation,
     build_unfolded,
     lemma1_check,
     local_V2_limit_check,
+    unfolded_shifted,
     verify_contact_ladder,
 )
 
@@ -53,17 +53,6 @@ def _unfold_params(scenario: Scenario):
     if scenario.unfold is None:
         raise InputError("this command needs an 'unfold' block in the scenario")
     return scenario.unfold
-
-
-def _unfolded_shifted(scenario: Scenario):
-    params = _unfold_params(scenario)
-    Z = scenario.field
-    if params.k >= 2:
-        Zu = build_unfolded(Z, build_perturbation(Z, params))
-    else:
-        Zu = Z
-    Zb = apply_shift(Zu, params.b, params.shift_convention)
-    return params, Zu, Zb
 
 
 def _delta_grid(scenario: Scenario, n: int):
@@ -96,7 +85,8 @@ def _cmd_unfold(scenario, args):
 
 
 def _cmd_verify_ladder(scenario, args):
-    params, Zu, _ = _unfolded_shifted(scenario)
+    params = _unfold_params(scenario)
+    Zu, _ = unfolded_shifted(scenario.field, params)
     report = verify_contact_ladder(Zu, params)
     return report.to_json_dict(), "ok", []
 
@@ -189,8 +179,8 @@ def _cmd_portrait(scenario, args):
     Z = scenario.field
     cycles = []
     if scenario.unfold is not None:
-        params, _, Zb = _unfolded_shifted(scenario)
-        Z = Zb
+        params = scenario.unfold
+        _, Z = unfolded_shifted(Z, params)
         if params.b != 0:
             diags: list = []
             cycles = find_cycles_local(

@@ -2,7 +2,7 @@
 
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
-brackets candidate roots, bisection refines them, and a central-difference
+brackets candidate roots, Brent's method solves them, and a central-difference
 derivative decides hyperbolicity and stability (a first-return contraction,
 i.e. negative derivative, is stable).  Every accepted cycle must enclose
 exactly one sliding segment strictly inside its chord on the line.
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     FilippovError,
@@ -23,13 +24,13 @@ from .errors import (
 )
 from .field import PiecewiseField, SigmaSegment, classify_mts, sigma_regions
 from .flow import IntegratorConfig, displacement, estimate_lyapunov, half_return
+from .poly import BRENT_TOL
 from .record import Record
 from .unfold import (
     UnfoldingParams,
     apply_shift,
-    build_perturbation,
-    build_unfolded,
     expected_invisible_indices,
+    unfolded_shifted,
 )
 
 # Roots with |d(delta)/dx| at or below this margin carry no honest stability
@@ -143,25 +144,6 @@ class CensusReport(Record):
     json_renames = {"passed": "pass"}
 
 
-def _bisect_root(fn, x_lo, x_hi, v_lo):
-    neg = v_lo < 0
-    best_x, best_v = x_lo, v_lo
-    for _ in range(200):
-        mid = 0.5 * (x_lo + x_hi)
-        if mid == x_lo or mid == x_hi:
-            break
-        vm = fn(mid)
-        if abs(vm) < abs(best_v):
-            best_x, best_v = mid, vm
-        if abs(vm) < ROOT_RESIDUAL_TOL:
-            return mid, vm
-        if (vm < 0) == neg:
-            x_lo = mid
-        else:
-            x_hi = mid
-    return best_x, best_v
-
-
 def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
                       b: float, cfg: IntegratorConfig,
                       diagnostics: list | None = None) -> list:
@@ -169,10 +151,11 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
 
     Scans the displacement on a geometric grid of offsets
     ``(|b|*(1+1e-3), radius)`` from the window center, brackets sign
-    changes, bisects to residual ``1e-12``, then checks hyperbolicity and
-    sliding-segment enclosure.  Non-hyperbolic roots and windows where the
-    displacement never leaves the noise floor ("center") are reported
-    through ``diagnostics``, not returned.
+    changes, solves them by Brent's method to residual ``1e-12`` (a memo
+    seeded with the grid values computes each displacement once), then
+    checks hyperbolicity and sliding-segment enclosure.  Non-hyperbolic
+    roots and windows where the displacement never leaves the noise floor
+    ("center") are reported through ``diagnostics``, not returned.
     """
     if diagnostics is None:
         diagnostics = []
@@ -184,8 +167,18 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     grid, values, cfg_local = _sample_grid(
         Z_b, window_center, radius, u_lo, GRID_POINTS, cfg)
 
+    memo = {float(x): v for x, v in zip(grid, values) if v is not None}
+
     def delta_at(x):
-        return displacement(Z_b, x, cfg_local, base_x=window_center).delta_value
+        if x not in memo:
+            memo[x] = displacement(
+                Z_b, x, cfg_local, base_x=window_center).delta_value
+        return memo[x]
+
+    def settled(x):
+        # brentq stops at an exact zero: treat the residual target as one
+        v = delta_at(x)
+        return 0.0 if abs(v) < ROOT_RESIDUAL_TOL else v
 
     valid = [v for v in values if v is not None]
     if not valid:
@@ -204,8 +197,8 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
             continue
         if v0 == 0.0 or (v0 < 0) == (v1 < 0):
             continue
-        x_star, residual = _bisect_root(
-            delta_at, float(grid[i]), float(grid[i + 1]), v0)
+        x_star = brentq(settled, float(grid[i]), float(grid[i + 1]),
+                        xtol=BRENT_TOL, rtol=BRENT_TOL)
         if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
             continue
         step = 1e-6 * radius
@@ -237,9 +230,10 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
             x_star=x_star, b=b, window_center=window_center,
             amplitude=x_star - window_center, stability=stability,
             derivative=deriv, enclosed_segment=enclosed, x_left=x_left))
-        if abs(residual) > 10 * ROOT_RESIDUAL_TOL:
+        residual = abs(delta_at(x_star))
+        if residual > 10 * ROOT_RESIDUAL_TOL:
             diagnostics.append(
-                f"root residual {abs(residual):.3e} above target at "
+                f"root residual {residual:.3e} above target at "
                 f"x={x_star:.9g}")
     return cycles
 
@@ -294,12 +288,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                 f"predicted amplitude {predicted:.3e} exceeds half the "
                 f"window radius {radius:.3e}; reduce |b|")
 
-    if k >= 2:
-        polys = build_perturbation(Z, params, data)
-        Zu = build_unfolded(Z, polys)
-    else:
-        Zu = Z
-    Zb = apply_shift(Zu, b, params.shift_convention)
+    _, Zb = unfolded_shifted(Z, params, data)
 
     diagnostics: list = []
     cycles: list = []

@@ -2,11 +2,11 @@
 
 Orbit arcs are integrated with an adaptive high-order Runge-Kutta pair
 (DOP853) with dense output; the return to ``y = 0`` is located by scanning a
-refined mesh for sign changes and bisecting the dense output.  A departure
-guard keeps the event search from re-triggering on the start point, which
-lies exactly on the line: crossings are only accepted once the orbit has
-either reached height ``guard_height`` or run for longer than
-``guard_time``.
+refined mesh for sign changes and solving the dense output there by Brent's
+method.  A departure guard keeps the event search from re-triggering on the
+start point, which lies exactly on the line: crossings are only accepted
+once the orbit has either reached height ``guard_height`` or run for longer
+than ``guard_time``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import InputError, NoReturn, NotInWindow, StepFailure, Inconclusive
 from .field import PiecewiseField, SmoothField
+from .poly import BRENT_TOL
 from .record import Record
 
 # First integration chunk length; grown geometrically until max_time.
@@ -33,7 +35,9 @@ class IntegratorConfig:
     """Tolerances and guards for orbit-arc integration.
 
     ``window``, when set, bounds the abscissa range an arc may visit;
-    escaping it raises :class:`NotInWindow`.
+    escaping it raises :class:`NotInWindow`.  ``event_tol`` only sets the
+    displacement noise floor, ``10 * event_tol``; crossings are located to
+    a few ulps whatever its value.
     """
 
     rel_tol: float = 1e-10
@@ -93,24 +97,6 @@ def _refined_mesh(ts: np.ndarray) -> np.ndarray:
     pieces = [np.linspace(ts[i], ts[i + 1], _SCAN_REFINE + 1)[:-1]
               for i in range(len(ts) - 1)]
     return np.concatenate(pieces + [ts[-1:]])
-
-
-def _bisect_crossing(dense, ta, tb, ya):
-    """Bisect a bracketed sign change of y(t) on the dense output."""
-    neg = ya < 0
-    for _ in range(200):
-        tm = 0.5 * (ta + tb)
-        if tm == ta or tm == tb:
-            break
-        ym = float(dense(tm)[1])
-        if ym == 0.0:
-            return tm
-        if (ym < 0) == neg:
-            ta = tm
-        else:
-            tb = tm
-    # keep the endpoint with the smaller |y|
-    return ta if abs(float(dense(ta)[1])) <= abs(float(dense(tb)[1])) else tb
 
 
 def integrate_to_sigma(field: SmoothField, start, direction: str,
@@ -175,7 +161,8 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
                 if y_here == 0.0:
                     t_star = tf[idx]
                 else:
-                    t_star = _bisect_crossing(sol.sol, tf[idx - 1], tf[idx], y_prev)
+                    t_star = brentq(lambda t: sol.sol(t)[1], tf[idx - 1],
+                                    tf[idx], xtol=BRENT_TOL, rtol=BRENT_TOL)
                 if max_abs_y > cfg.guard_height or t_star > cfg.guard_time:
                     x_star, y_star = (float(v) for v in sol.sol(t_star))
                     keep = tf <= t_star

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
+
+from scipy.optimize import brentq
 
 from .errors import DegreeCapExceeded, DuplicateTerm, InputError
 
@@ -27,6 +30,10 @@ DEGREE_CAP = 64
 
 # Float coefficients below this are treated as rounding debris and dropped.
 DROP_TOL = 1e-14
+
+# Brent's tightest tolerance; every scalar root in the package is solved by
+# ``scipy.optimize.brentq`` with it as both ``xtol`` and ``rtol``.
+BRENT_TOL = 4 * sys.float_info.epsilon
 
 
 def _keep(c) -> bool:
@@ -60,15 +67,19 @@ class Poly2:
         """Build from serialized ``[i, j, coefficient]`` triples.
 
         Duplicate exponent pairs are an input error, not an accumulation,
-        and so is a coefficient that is not a finite real number.
+        and so are an exponent that is not an integer and a coefficient
+        that is not a finite real number.
         """
         terms = {}
         for entry in triples:
             try:
                 i, j, c = entry
-                key = (int(i), int(j))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"malformed monomial entry {entry!r}") from exc
+            if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool)
+                       for e in (i, j)):
+                raise InputError(f"exponents of {entry!r} must be integers")
+            key = (int(i), int(j))
             finite = isinstance(c, (int, Fraction)) or (
                 isinstance(c, numbers.Real) and math.isfinite(c))
             if isinstance(c, bool) or not finite:
@@ -329,7 +340,7 @@ class Poly1:
 
         Roots are isolated between the critical points of the polynomial
         (computed recursively) so every bracket carries at most one sign
-        change, then refined by bisection.  Even-multiplicity roots are
+        change, then solved by Brent's method.  Even-multiplicity roots are
         picked up as near-zero values at critical points.
         """
         if hi <= lo:
@@ -348,7 +359,7 @@ class Poly1:
         def near_zero(t, v):
             # Two scales: the evaluation's own rounding scale (so genuinely
             # tiny structure, roots ~1e-8 apart, stays resolvable) and a
-            # floor for even-multiplicity roots, where the bisected critical
+            # floor for even-multiplicity roots, where the computed critical
             # point sits a few ulps off the touch point and the polynomial
             # is exactly nonzero there.
             scale = sum(abs(c * t**m) for m, c in enumerate(cs))
@@ -364,20 +375,7 @@ class Poly1:
                 continue
             if (v0 < 0) == (v1 < 0):
                 continue
-            a, b, va = t0, t1, v0
-            m = 0.5 * (a + b)
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                if m == a or m == b:
-                    break
-                vm = p(m)
-                if vm == 0.0:
-                    break
-                if (vm < 0) == (va < 0):
-                    a, va = m, vm
-                else:
-                    b = m
-            roots.append(m)
+            roots.append(brentq(p, t0, t1, xtol=BRENT_TOL, rtol=BRENT_TOL))
         roots.sort()
         merged = []
         for r in roots:

@@ -49,24 +49,13 @@ def _cycle_curves(Z: PiecewiseField, cycles, cfg: IntegratorConfig):
     return curves
 
 
-def _fold_points(Z: PiecewiseField, lo: float, hi: float):
-    pts = sorted(Z.upper.Y.restrict_sigma().real_roots(lo, hi)
-                 + Z.lower.Y.restrict_sigma().real_roots(lo, hi))
-    merged = []
-    for p in pts:
-        if merged and abs(p - merged[-1]) <= 1e-10 * max(1.0, abs(p)):
-            continue
-        merged.append(p)
-    return merged
-
-
 def render_portrait(Z: PiecewiseField, center: float, radius: float,
                     cfg: IntegratorConfig, cycles=(), svg_path=None,
                     csv_path=None) -> dict:
     """Render the window ``center +- radius`` and return summary counts."""
     lo, hi = center - radius, center + radius
     segments = sigma_regions(Z, (lo, hi))
-    folds = _fold_points(Z, lo, hi)
+    folds = [seg.interval[1] for seg in segments[:-1]]
     cfg = cfg.with_window(center - 3.0 * radius, center + 3.0 * radius)
     arcs = _collect_arcs(Z, center, radius, cfg)
     closed = _cycle_curves(Z, cycles, cfg)

@@ -41,8 +41,14 @@ _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "event_tol",
                     "guard_height", "guard_time", "max_time")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{where} must be a JSON object")
+    return value
+
+
 def _component(side_doc: dict, side: str, comp: str) -> Poly2:
-    triples = side_doc.get(comp)
+    triples = _object(side_doc, f"field.{side}").get(comp)
     if not triples:
         raise InputError(f"field.{side}.{comp} must be a nonempty monomial list")
     return Poly2.from_triples(triples)
@@ -51,7 +57,7 @@ def _component(side_doc: dict, side: str, comp: str) -> Poly2:
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         name = doc["name"]
-        field_doc = doc["field"]
+        field_doc = _object(doc["field"], "field")
     except KeyError as exc:
         raise InputError(f"scenario is missing key {exc}") from exc
     if not isinstance(name, str) or not name:
@@ -79,10 +85,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed unfold block: {exc}") from exc
 
-    wdoc = doc.get("window") or {}
+    wdoc = _object(doc.get("window") or {}, "window")
     try:
         overrides = {}
-        for key, value in (doc.get("integrator") or {}).items():
+        for key, value in _object(doc.get("integrator") or {},
+                                  "integrator").items():
             if key not in _INTEGRATOR_KEYS:
                 raise InputError(f"unknown integrator option {key!r}")
             overrides[key] = float(value)

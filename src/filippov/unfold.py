@@ -344,6 +344,19 @@ def apply_shift(Z: PiecewiseField, b: float,
         lower=Z.lower)
 
 
+def unfolded_shifted(Z: PiecewiseField, params: UnfoldingParams,
+                     data: MonodromyData | None = None):
+    """The unfolded field and its ``b``-shifted copy, ``(Zu, Zb)``.
+
+    For ``k = 1`` there is nothing to unfold and ``Zu`` is ``Z`` itself;
+    ``data`` is passed on to :func:`build_perturbation`.
+    """
+    Zu = Z
+    if params.k >= 2:
+        Zu = build_unfolded(Z, build_perturbation(Z, params, data))
+    return Zu, apply_shift(Zu, params.b, params.shift_convention)
+
+
 # --- verifiers ---------------------------------------------------------------
 
 

@@ -249,6 +249,34 @@ def _infinite_window(doc):
     doc["window"] = {"center": 0.0, "radius": float("inf")}
 
 
+def _field_not_object(doc):
+    doc["field"] = 3
+
+
+def _side_not_object(doc):
+    doc["field"]["upper"] = 3
+
+
+def _window_not_object(doc):
+    doc["window"] = [1]
+
+
+def _integrator_not_object(doc):
+    doc["integrator"] = [1]
+
+
+def _float_exponent(doc):
+    doc["field"]["upper"]["Y"][0][0] = 3.7
+
+
+def _text_exponent(doc):
+    doc["field"]["upper"]["Y"][0][0] = "3"
+
+
+def _bool_exponent(doc):
+    doc["field"]["upper"]["Y"][0][1] = True
+
+
 @pytest.mark.parametrize("edit, argv, loads", [
     (_text_coefficient, ["classify"], False),
     (_nan_coefficient, ["classify"], False),
@@ -257,6 +285,13 @@ def _infinite_window(doc):
     (None, ["unfold", "--epsilon", "inf"], True),
     (None, ["cycles", "--b", "nan"], True),
     (None, ["scan", "--b-values=nan"], True),
+    (_field_not_object, ["classify"], False),
+    (_side_not_object, ["classify"], False),
+    (_window_not_object, ["classify"], False),
+    (_integrator_not_object, ["classify"], False),
+    (_float_exponent, ["classify"], False),
+    (_text_exponent, ["classify"], False),
+    (_bool_exponent, ["classify"], False),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):

@@ -17,9 +17,11 @@ from filippov import (
     monodromic_family,
     pseudo_hopf_scan,
 )
+from filippov.cycles import GRID_POINTS
 from filippov.errors import InputError, ScaleSeparationViolated, WrongSign
 from filippov.field import PiecewiseField, SmoothField
 from filippov.poly import Poly2
+from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
 
 # -- amplitude law ---------------------------------------------------------------
@@ -202,6 +204,32 @@ def test_census_base_order(cfg):
     rep = cycle_census(Z, params, cfg)
     assert rep.passed
     assert len(rep.cycles) == 1
+
+
+@pytest.mark.parametrize("k, lam, eps, b", [
+    (2, (-1.0, 1.0), 0.1, -1e-6),
+    (3, (-1.0, 1.0, 2.0, 3.0), 0.05, -1e-8),
+])
+def test_root_solve_spends_few_displacements(cfg, monkeypatch, k, lam, eps, b):
+    # every census window holds one root; beyond the grid, solving it and
+    # its finite-difference slope cost at most 8 displacements
+    params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
+                             shift_convention="minus")
+    _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
+    nodes = (0.0,) + lam
+    radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return displacement(*args, **kwargs)
+
+    monkeypatch.setattr("filippov.cycles.displacement", counted)
+    for i in sorted(expected_invisible_indices(k)):
+        calls.clear()
+        found = find_cycles_local(Zb, eps * lam[i - 1], radius, b, cfg)
+        assert len(found) == 1
+        assert len(calls) - GRID_POINTS <= 8
 
 
 def test_census_scale_separation_guard(cfg):

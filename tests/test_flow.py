@@ -66,12 +66,15 @@ def test_half_return_symmetric_center(cfg):
         assert half_return(Z, "lower", x, cfg) == pytest.approx(-x, abs=1e-9)
 
 
-def test_half_return_vs_level_set_oracle(cfg):
-    Z = monodromic_family(1, 1.0)
-    got = half_return(Z, "upper", 0.1, cfg)
-    oracle = level_set_return(Z.upper, 0.1, -0.25, -1e-4)
-    assert got == pytest.approx(oracle, abs=1e-9)
-    assert got == pytest.approx(-0.0937, abs=1e-3)
+@pytest.mark.parametrize("x", [0.2 / 2 ** n for n in range(8)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_half_return_vs_level_set_oracle(cfg, k, x):
+    Z = monodromic_family(k, 1.0)
+    got = half_return(Z, "upper", x, cfg)
+    oracle = level_set_return(Z.upper, x, -2.0 * x, -1e-4 * x)
+    assert got == pytest.approx(oracle, abs=1e-12)
+    if (k, x) == (1, 0.1):
+        assert got == pytest.approx(-0.0937, abs=1e-3)
 
 
 def test_half_return_lower_is_exact_reflection(cfg):
