@@ -30,6 +30,7 @@ from .portrait import render_portrait
 from .record import jsonable
 from .scenario import (
     Scenario,
+    field_to_dict,
     load_scenario,
     scenario_to_dict,
     with_overrides,
@@ -77,10 +78,7 @@ def _cmd_unfold(scenario, args):
     polys = build_perturbation(scenario.field, _unfold_params(scenario))
     Zu = build_unfolded(scenario.field, polys)
     payload = polys.to_json_dict()
-    payload["unfolded"] = {
-        "upper": {"X": Zu.upper.X.to_triples(), "Y": Zu.upper.Y.to_triples()},
-        "lower": {"X": Zu.lower.X.to_triples(), "Y": Zu.lower.Y.to_triples()},
-    }
+    payload["unfolded"] = field_to_dict(Zu)
     return payload, "ok", []
 
 
@@ -199,7 +197,10 @@ def _cmd_portrait(scenario, args):
 
 def _out_dir(scenario: Scenario) -> Path:
     out = Path(scenario.outputs)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"unusable output directory: {exc}") from exc
     return out
 
 

@@ -30,6 +30,7 @@ from .unfold import (
     UnfoldingParams,
     apply_shift,
     expected_invisible_indices,
+    require_order,
     unfolded_shifted,
 )
 
@@ -261,9 +262,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     """
     data = classify_mts(Z)
     k = params.k
-    if data.k_plus != k or data.k_minus != k:
-        raise InputError(
-            f"field has orders ({data.k_plus}, {data.k_minus}), expected k={k}")
+    require_order(data, k)
     V2 = float(data.V2)
     if abs(V2) < 1e-12:
         raise InputError("the second displacement coefficient vanishes")

@@ -13,9 +13,11 @@ The classification is gated by three conditions on the origin:
   ``2k`` along the switching line while the horizontal components do not
   vanish;
 * ``C2`` - both tangencies are invisible: each one-sided orbit through the
-  origin leaves its own half-plane (sign of ``X * d^{2k-1}Y/dx^{2k-1}``
-  negative for the upper field, positive for the lower one);
+  origin leaves its own half-plane (``sigma * X * d^{2k-1}Y/dx^{2k-1} < 0``);
 * ``C3`` - the horizontal components oppose each other across the line.
+
+Side convention.  Every one-sided formula is written once over the side sign
+``sigma`` (:data:`SIGMA`): ``+1`` for the upper field, ``-1`` for the lower.
 
 Visibility convention.  A bare sign test on ``d^{2k-1}Y/dx^{2k-1}`` alone
 does not account for the direction of travel; we use the orbit-curvature
@@ -49,6 +51,8 @@ CROSSING = "crossing"
 ATTRACTING = "attracting-sliding"
 REPELLING = "repelling-sliding"
 
+SIGMA = {"upper": 1, "lower": -1}
+
 
 @dataclass(frozen=True)
 class SmoothField:
@@ -70,11 +74,14 @@ class PiecewiseField:
     lower: SmoothField
 
     def side(self, name: str) -> SmoothField:
-        if name == "upper":
-            return self.upper
-        if name == "lower":
-            return self.lower
-        raise InputError(f"unknown side {name!r}")
+        if name not in SIGMA:
+            raise InputError(f"unknown side {name!r}")
+        return getattr(self, name)
+
+    def sides(self) -> list:
+        """``(name, sigma, field)`` for the upper, then the lower side."""
+        return [(name, sigma, getattr(self, name))
+                for name, sigma in SIGMA.items()]
 
 
 @dataclass(frozen=True)
@@ -149,11 +156,10 @@ def visibility(f: SmoothField, x0: float, n: int, side: str) -> str:
 
     The contact is invisible when the orbit through ``(x0, 0)`` locally
     leaves the field's own half-plane.  The local vertical excursion has the
-    sign of ``X * d^{n-1}Y/dx^{n-1}`` at the contact, so for the upper field
-    the contact is invisible iff that product is negative; for the lower
-    field iff it is positive.
+    sign of ``X * d^{n-1}Y/dx^{n-1}`` at the contact, so the contact is
+    invisible iff ``sigma * X * d^{n-1}Y/dx^{n-1} < 0``.
     """
-    if side not in ("upper", "lower"):
+    if side not in SIGMA:
         raise InputError(f"unknown side {side!r}")
     if n < 2 or n % 2:
         raise InputError(f"visibility requires an even multiplicity, got {n}")
@@ -164,9 +170,7 @@ def visibility(f: SmoothField, x0: float, n: int, side: str) -> str:
     py = f.Y.restrict_sigma().shift(x0)
     d = py.coeff(n - 1)  # d^{n-1}Y/dx^{n-1}(x0, 0) up to the factorial
     s = f.X.restrict_sigma()(x0) * d
-    if side == "upper":
-        return "invisible" if s < 0 else "visible"
-    return "invisible" if s > 0 else "visible"
+    return "invisible" if SIGMA[side] * s < 0 else "visible"
 
 
 def contact_info(f: SmoothField, x0: float, side: str) -> ContactInfo:
@@ -199,16 +203,16 @@ def _side_multiplicity(f: SmoothField, side: str) -> int:
     return mult
 
 
-def correction_quotient(f: SmoothField, sign: int, delta: int, a, k: int):
+def correction_quotient(f: SmoothField, sigma: int, delta: int, a, k: int):
     """Quotient ``q`` and ``X(x, 0)`` with ``f = q / X(x, 0)`` the correction
     function of one side beyond the tangency order.
 
-    The numerator ``sign*delta*Y(x,0) - a*x^{2k-1}*X(x,0)`` is divisible by
+    The numerator ``sigma*delta*Y(x,0) - a*x^{2k-1}*X(x,0)`` is divisible by
     ``x^{2k}`` exactly, which is asserted rather than assumed.
     """
     py = f.Y.restrict_sigma()
     px = f.X.restrict_sigma()
-    num = (sign * delta) * py - a * px.times_x_power(2 * k - 1)
+    num = (sigma * delta) * py - a * px.times_x_power(2 * k - 1)
     q, residual = num.divide_x_power(2 * k)
     scale = max(1.0, num.max_abs_coeff())
     if residual > DIV_RESIDUAL_TOL * scale:
@@ -217,11 +221,11 @@ def correction_quotient(f: SmoothField, sign: int, delta: int, a, k: int):
     return q, px
 
 
-def _g00(f: SmoothField, sign: int, delta: int):
+def _g00(f: SmoothField, sigma: int, delta: int):
     """Vertical-coupling coefficient, extracted from the first y-order."""
     xs = f.X.restrict_sigma().to_poly2()
     ys = f.Y.restrict_sigma().to_poly2()
-    num = sign * (xs * f.Y - f.X * ys)
+    num = sigma * (xs * f.Y - f.X * ys)
     scale = max(1.0, num.max_abs_coeff())
     bad = max(
         (abs(float(c)) for (i, j), c in num.terms.items() if j == 0),
@@ -241,49 +245,34 @@ def classify_mts(Z: PiecewiseField) -> MonodromyData:
     first violated condition.  On success returns the full local data record,
     including the second displacement coefficient ``V2``.
     """
-    mult_up = _side_multiplicity(Z.upper, "upper")
-    mult_lo = _side_multiplicity(Z.lower, "lower")
-    k_p, k_m = mult_up // 2, mult_lo // 2
-
-    pyu = Z.upper.Y.restrict_sigma()
-    pyl = Z.lower.Y.restrict_sigma()
-    xu0 = Z.upper.X.restrict_sigma().coeff(0)
-    xl0 = Z.lower.X.restrict_sigma().coeff(0)
+    sides = Z.sides()
+    ks = [_side_multiplicity(f, name) // 2 for name, _, f in sides]
+    x0s = [f.X.restrict_sigma().coeff(0) for _, _, f in sides]
     # Leading restricted coefficients carry the sign of d^{2k-1}Y/dx^{2k-1}.
-    cu = pyu.coeff(2 * k_p - 1)
-    cl = pyl.coeff(2 * k_m - 1)
+    cs = [f.Y.restrict_sigma().coeff(2 * k - 1)
+          for (_, _, f), k in zip(sides, ks)]
 
-    if not xu0 * cu < 0:
-        raise NotMonodromic("C2", "upper tangency is visible")
-    if not xl0 * cl > 0:
-        raise NotMonodromic("C2", "lower tangency is visible")
-    if not xu0 * xl0 < 0:
+    for (name, sigma, _), x0, c in zip(sides, x0s, cs):
+        if not sigma * x0 * c < 0:
+            raise NotMonodromic("C2", f"{name} tangency is visible")
+    if not x0s[0] * x0s[1] < 0:
         raise NotMonodromic("C3", "horizontal components do not oppose")
 
-    delta = 1 if xu0 > 0 else -1
-    a_p = cu / abs(xu0)
-    a_m = cl / abs(xl0)
+    delta = 1 if x0s[0] > 0 else -1
+    a = [c / abs(x0) for c, x0 in zip(cs, x0s)]
     # f(0) is a Taylor coefficient of the exact quotient
-    f0_p = correction_quotient(Z.upper, +1, delta, a_p, k_p)[0].coeff(0) / xu0
-    f0_m = correction_quotient(Z.lower, -1, delta, a_m, k_m)[0].coeff(0) / xl0
-    g00_p = _g00(Z.upper, +1, delta)
-    g00_m = _g00(Z.lower, -1, delta)
-    alpha2_p = (-2 * f0_p + 2 * delta * a_p * g00_p) / (a_p * (2 * k_p + 1))
-    alpha2_m = (-2 * f0_m - 2 * delta * a_m * g00_m) / (a_m * (2 * k_m + 1))
-    return MonodromyData(
-        k_plus=k_p,
-        k_minus=k_m,
-        delta=delta,
-        a_plus=a_p,
-        a_minus=a_m,
-        f0_plus=f0_p,
-        f0_minus=f0_m,
-        g00_plus=g00_p,
-        g00_minus=g00_m,
-        alpha2_plus=alpha2_p,
-        alpha2_minus=alpha2_m,
-        V2=delta * (alpha2_p - alpha2_m),
-    )
+    f0 = [correction_quotient(f, sigma, delta, a_s, k)[0].coeff(0) / x0
+          for (_, sigma, f), a_s, k, x0 in zip(sides, a, ks, x0s)]
+    g00 = [_g00(f, sigma, delta) for _, sigma, f in sides]
+    alpha2 = [(-2 * f0_s + 2 * sigma * delta * a_s * g00_s) / (a_s * (2 * k + 1))
+              for (_, sigma, _), f0_s, a_s, g00_s, k
+              in zip(sides, f0, a, g00, ks)]
+    per_side = {}
+    for name, values in (("k", ks), ("a", a), ("f0", f0), ("g00", g00),
+                         ("alpha2", alpha2)):
+        per_side[f"{name}_plus"], per_side[f"{name}_minus"] = values
+    return MonodromyData(delta=delta, V2=delta * (alpha2[0] - alpha2[1]),
+                         **per_side)
 
 
 def local_V2(Z: PiecewiseField, x0: float):
@@ -305,16 +294,15 @@ def sigma_regions(Z: PiecewiseField, interval) -> list:
     """Partition of an interval of the switching line by contact points.
 
     Each open piece between consecutive real roots of ``Y_upper(x, 0)`` and
-    ``Y_lower(x, 0)`` is labeled crossing (both vertical components share a
-    sign), attracting-sliding (upper points down, lower points up), or
-    repelling-sliding (the reverse).
+    ``Y_lower(x, 0)`` is labeled attracting-sliding (both fields point toward
+    the line, ``sigma * Y(x, 0) < 0`` on both sides), repelling-sliding (both
+    point away), or crossing.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not hi > lo:
         raise InputError(f"empty interval ({lo}, {hi})")
-    pu = Z.upper.Y.restrict_sigma()
-    pl = Z.lower.Y.restrict_sigma()
-    roots = sorted(pu.real_roots(lo, hi) + pl.real_roots(lo, hi))
+    restricted = [(sigma, f.Y.restrict_sigma()) for _, sigma, f in Z.sides()]
+    roots = sorted(r for _, p in restricted for r in p.real_roots(lo, hi))
     merged = []
     tol = 1e-12 * max(1.0, abs(lo), abs(hi))
     for r in roots:
@@ -327,11 +315,10 @@ def sigma_regions(Z: PiecewiseField, interval) -> list:
     for idx in range(len(cuts) - 1):
         u, v = cuts[idx], cuts[idx + 1]
         mid = 0.5 * (u + v)
-        yu = float(pu(mid))
-        yl = float(pl(mid))
-        if yu < 0 < yl:
+        heading = [sigma * float(p(mid)) for sigma, p in restricted]
+        if all(v < 0 for v in heading):
             kind = ATTRACTING
-        elif yl < 0 < yu:
+        elif all(v > 0 for v in heading):
             kind = REPELLING
         else:
             kind = CROSSING

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import InputError, NoReturn, NotInWindow, StepFailure, Inconclusive
-from .field import PiecewiseField, SmoothField
+from .field import SIGMA, PiecewiseField, SmoothField
 from .poly import BRENT_TOL
 from .record import Record
 
@@ -186,8 +186,8 @@ def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
     """One-sided orbit arc through ``(x, 0)`` into the side's half-plane.
 
     The arc is integrated forward in time when the field at ``(x, 0)``
-    points into the half-plane, backward otherwise.  Returns
-    ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
+    points into the half-plane (``sigma * Y(x, 0) > 0``), backward otherwise.
+    Returns ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
     tangency start raises :class:`InputError`.
     """
     field = Z.side(side)
@@ -195,8 +195,7 @@ def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
     if y0 == 0.0:
         raise InputError(
             f"({x}, 0) is a tangency point; the half-return map is undefined")
-    into = y0 > 0.0 if side == "upper" else y0 < 0.0
-    direction = "forward" if into else "backward"
+    direction = "forward" if SIGMA[side] * y0 > 0.0 else "backward"
     return integrate_to_sigma(field, (x, 0.0), direction, cfg)
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .field import PiecewiseField, SmoothField
+from .field import SIGMA, PiecewiseField, SmoothField
 from .flow import IntegratorConfig
 from .poly import Poly2
 from .unfold import UnfoldingParams
@@ -64,13 +64,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise InputError("scenario name must be a nonempty string")
 
     sides = {}
-    for side in ("upper", "lower"):
+    for side in SIGMA:
         if side not in field_doc:
             raise InputError(f"field.{side} is missing")
         sides[side] = SmoothField(
             X=_component(field_doc[side], side, "X"),
             Y=_component(field_doc[side], side, "Y"))
-    field = PiecewiseField(upper=sides["upper"], lower=sides["lower"])
+    field = PiecewiseField(**sides)
 
     unfold = None
     if doc.get("unfold") is not None:
@@ -119,16 +119,17 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
+def field_to_dict(Z: PiecewiseField) -> dict:
+    """``{upper|lower: {X|Y: [[i, j, coefficient], ...]}}``, sorted monomials."""
+    return {name: {"X": f.X.to_triples(), "Y": f.Y.to_triples()}
+            for name, _, f in Z.sides()}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     """Normalized form: sorted monomials, explicit defaults."""
     doc = {
         "name": s.name,
-        "field": {
-            "upper": {"X": s.field.upper.X.to_triples(),
-                      "Y": s.field.upper.Y.to_triples()},
-            "lower": {"X": s.field.lower.X.to_triples(),
-                      "Y": s.field.lower.Y.to_triples()},
-        },
+        "field": field_to_dict(s.field),
         "unfold": None,
         "integrator": {key: getattr(s.integrator, key)
                        for key in _INTEGRATOR_KEYS},

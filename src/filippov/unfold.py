@@ -10,11 +10,11 @@ tangency of the perturbed vertical component
 
 The interpolation values are
 
-    xi_i = -(sign) * delta * eps^{2k-1} * (a * a_i^{2k-1}
-                                           + eps * a_i^{2k} * f(eps * a_i))
+    xi_i = -sigma * delta * eps^{2k-1} * (a * a_i^{2k-1}
+                                          + eps * a_i^{2k} * f(eps * a_i))
 
-with the upper side taking ``sign = +1`` and the lower side ``-1``;
-equivalently ``xi_i = -Y(eps*a_i, 0) / X(eps*a_i, 0)``.
+with the side sign ``sigma`` of :mod:`filippov.field`; equivalently
+``xi_i = -Y(eps*a_i, 0) / X(eps*a_i, 0)``.
 
 The perturbation is built two ways and cross-checked: a direct linear solve
 of the Vandermonde system in the original coordinates, and Newton divided
@@ -44,6 +44,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .field import (
+    SIGMA,
     MonodromyData,
     PiecewiseField,
     SmoothField,
@@ -252,19 +253,16 @@ def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
         raise InputError("equal tangency orders on both sides are required")
     k = data.k_plus
     delta = data.delta
-    q_up, x_up = correction_quotient(Z.upper, +1, delta, data.a_plus, k)
-    q_lo, x_lo = correction_quotient(Z.lower, -1, delta, data.a_minus, k)
-    xi_p, xi_m = [], []
-    for a_i in lam:
-        x_i = epsilon * a_i
-        common = epsilon ** (2 * k - 1)
-        xi_p.append(-delta * common
-                    * (data.a_plus * a_i ** (2 * k - 1)
-                       + epsilon * a_i ** (2 * k) * (q_up(x_i) / x_up(x_i))))
-        xi_m.append(+delta * common
-                    * (data.a_minus * a_i ** (2 * k - 1)
-                       + epsilon * a_i ** (2 * k) * (q_lo(x_i) / x_lo(x_i))))
-    return xi_p, xi_m
+    common = epsilon ** (2 * k - 1)
+    quotients = [(sigma, a, *correction_quotient(f, sigma, delta, a, k))
+                 for (_, sigma, f), a in zip(Z.sides(),
+                                             (data.a_plus, data.a_minus))]
+    return tuple(
+        [-sigma * delta * common
+         * (a * a_i ** (2 * k - 1)
+            + epsilon * a_i ** (2 * k) * (q(epsilon * a_i) / x(epsilon * a_i)))
+         for a_i in lam]
+        for sigma, a, q, x in quotients)
 
 
 def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
@@ -291,7 +289,6 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
 
     eps = float(params.epsilon)
     lam = [float(a) for a in params.lam]
-    xi_p, xi_m = xi_values(Z, data, lam, eps)
 
     n = 2 * k - 2
     nodes = np.array(lam) * eps
@@ -299,7 +296,7 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
     H = nodes[:, None] ** powers[None, :]
 
     sides = []
-    for xi in (xi_p, xi_m):
+    for xi in xi_values(Z, data, lam, eps):
         xv = np.array([float(v) for v in xi])
         direct = np.linalg.solve(H, xv)
         full = newton_through_origin(lam, [float(v) for v in xi])
@@ -317,12 +314,9 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
 
 def build_unfolded(Z: PiecewiseField, polys: PerturbationPolys) -> PiecewiseField:
     """Add ``X * P(x)`` to each vertical component."""
-    pp = polys.p_plus.to_poly2()
-    pm = polys.p_minus.to_poly2()
-    return PiecewiseField(
-        upper=SmoothField(Z.upper.X, Z.upper.Y + Z.upper.X * pp),
-        lower=SmoothField(Z.lower.X, Z.lower.Y + Z.lower.X * pm),
-    )
+    return PiecewiseField(**{
+        name: SmoothField(f.X, f.Y + f.X * p.to_poly2())
+        for (name, _, f), p in zip(Z.sides(), (polys.p_plus, polys.p_minus))})
 
 
 def apply_shift(Z: PiecewiseField, b: float,
@@ -360,6 +354,13 @@ def unfolded_shifted(Z: PiecewiseField, params: UnfoldingParams,
 # --- verifiers ---------------------------------------------------------------
 
 
+def require_order(data: MonodromyData, k: int) -> None:
+    """Both one-sided tangency orders must equal ``k``."""
+    if data.k_plus != k or data.k_minus != k:
+        raise InputError(
+            f"field has orders ({data.k_plus}, {data.k_minus}), expected k={k}")
+
+
 def expected_invisible_indices(k: int) -> set:
     """Contact indices that are invisible when the nodes are ordered.
 
@@ -390,36 +391,31 @@ def verify_contact_ladder(Z_unfolded: PiecewiseField,
     points = [(0, 0.0)] + [
         (i + 1, params.epsilon * float(a)) for i, a in enumerate(params.lam)]
 
-    pu = Z_unfolded.upper.Y.restrict_sigma()
-    pl = Z_unfolded.lower.Y.restrict_sigma()
-    scale_u = max(1.0, pu.max_abs_coeff())
-    scale_l = max(1.0, pl.max_abs_coeff())
+    sides = Z_unfolded.sides()
+    restricted = [f.Y.restrict_sigma() for _, _, f in sides]
+    tols = [LADDER_RESIDUAL_TOL * max(1.0, p.max_abs_coeff())
+            for p in restricted]
 
     records = []
     for index, x0 in points:
         expected = "invisible" if index in invisible else "visible"
-        res_u = abs(float(pu(x0)))
-        res_l = abs(float(pl(x0)))
-        mult_u = mult_l = None
-        vis_u = vis_l = "error"
-        ok = res_u < LADDER_RESIDUAL_TOL * scale_u and \
-            res_l < LADDER_RESIDUAL_TOL * scale_l
+        res = [abs(float(p(x0))) for p in restricted]
+        mult = [None, None]
+        vis = ["error", "error"]
+        ok = all(r < tol for r, tol in zip(res, tols))
         try:
-            mult_u = contact_multiplicity(Z_unfolded.upper, x0)
-            mult_l = contact_multiplicity(Z_unfolded.lower, x0)
-            ok = ok and mult_u == 2 and mult_l == 2
-            if mult_u == 2:
-                vis_u = visibility(Z_unfolded.upper, x0, 2, "upper")
-            if mult_l == 2:
-                vis_l = visibility(Z_unfolded.lower, x0, 2, "lower")
-            ok = ok and vis_u == expected and vis_l == expected
+            for i, (name, _, f) in enumerate(sides):
+                mult[i] = contact_multiplicity(f, x0)
+                if mult[i] == 2:
+                    vis[i] = visibility(f, x0, 2, name)
+            ok = ok and mult == [2, 2] and vis == [expected, expected]
         except FilippovError as exc:  # classification failures are ladder failures
-            vis_u = vis_l = f"error: {exc}"
+            vis = [f"error: {exc}"] * 2
             ok = False
         records.append(ContactRecord(
-            index=index, x0=x0, residual_plus=res_u, residual_minus=res_l,
-            mult_plus=mult_u, mult_minus=mult_l,
-            vis_plus=vis_u, vis_minus=vis_l, expected=expected, ok=ok))
+            index=index, x0=x0, residual_plus=res[0], residual_minus=res[1],
+            mult_plus=mult[0], mult_minus=mult[1],
+            vis_plus=vis[0], vis_minus=vis[1], expected=expected, ok=ok))
 
     report = LadderReport(contacts=records, ok=all(r.ok for r in records))
     if not report.ok:
@@ -433,10 +429,8 @@ def _exactify_field(Z: PiecewiseField) -> PiecewiseField:
     def conv(p: Poly2) -> Poly2:
         return Poly2({key: Fraction(c) for key, c in p.terms.items()})
 
-    return PiecewiseField(
-        upper=SmoothField(conv(Z.upper.X), conv(Z.upper.Y)),
-        lower=SmoothField(conv(Z.lower.X), conv(Z.lower.Y)),
-    )
+    return PiecewiseField(**{name: SmoothField(conv(f.X), conv(f.Y))
+                             for name, _, f in Z.sides()})
 
 
 def _rescaled_coefficient_curves(Z, k, lam, h):
@@ -462,12 +456,18 @@ def _rescaled_coefficient_curves(Z, k, lam, h):
     return data, out
 
 
+def _side_coefficients(data: MonodromyData) -> list:
+    """``(name, sigma, a, f0)`` per side, ``name`` the report suffix."""
+    return [("plus", SIGMA["upper"], data.a_plus, data.f0_plus),
+            ("minus", SIGMA["lower"], data.a_minus, data.f0_minus)]
+
+
 def _exact_coefficient_curves(Z, k, lam):
     """Exact ``C_j(0)`` and ``dC_j/deps(0)`` from rational interpolation.
 
     At ``eps = 0`` the rescaled coefficients interpolate
-    ``-(sign) * delta * a * a_i^{2k-1}``; their first eps-derivatives
-    interpolate ``-(sign) * delta * f0 * a_i^{2k}``.  Both are plain
+    ``-sigma * delta * a * a_i^{2k-1}``; their first eps-derivatives
+    interpolate ``-sigma * delta * f0 * a_i^{2k}``.  Both are plain
     interpolation problems through the origin over the rational node set,
     so residuals computed from them are exactly zero when they should be.
     """
@@ -476,11 +476,9 @@ def _exact_coefficient_curves(Z, k, lam):
     delta = data.delta
     lam_x = [Fraction(a) for a in lam]
     out = {}
-    for name, sign, a, f0 in (
-            ("plus", +1, data.a_plus, data.f0_plus),
-            ("minus", -1, data.a_minus, data.f0_minus)):
-        rhs0 = [-sign * delta * a * ai ** (2 * k - 1) for ai in lam_x]
-        rhs1 = [-sign * delta * f0 * ai ** (2 * k) for ai in lam_x]
+    for name, sigma, a, f0 in _side_coefficients(data):
+        rhs0 = [-sigma * delta * a * ai ** (2 * k - 1) for ai in lam_x]
+        rhs1 = [-sigma * delta * f0 * ai ** (2 * k) for ai in lam_x]
         c0 = newton_through_origin(lam_x, rhs0)[1:]
         c1 = newton_through_origin(lam_x, rhs1)[1:]
         out[name] = (c0, c1)
@@ -502,8 +500,8 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
 
     * the two sum-rule identities relating ``s2`` to ``s1`` and ``s4`` to
       ``s3``/``s1`` at every node index;
-    * the factorizations ``T(x) = (sign)*delta*a*x*prod(x - a_j)`` and
-      ``U(x) = (sign)*delta*f0*x*(x - alpha)*prod(x - a_j)`` with
+    * the factorizations ``T(x) = sigma*delta*a*x*prod(x - a_j)`` and
+      ``U(x) = sigma*delta*f0*x*(x - alpha)*prod(x - a_j)`` with
       ``alpha = -sum(a_j)``;
     * the cross-side proportionalities ``s1_minus = -(a_m/a_p) s1_plus``
       etc. (the ``f0`` ratios are skipped when ``f0_plus`` vanishes).
@@ -521,16 +519,14 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
         data, curves = _rescaled_coefficient_curves(Z, k, lam, h)
     else:
         raise InputError(f"unknown mode {mode!r}")
-    if data.k_plus != k or data.k_minus != k:
-        raise InputError(
-            f"field has orders ({data.k_plus}, {data.k_minus}), expected k={k}")
+    require_order(data, k)
 
     delta = data.delta
     n = 2 * k - 2
     lam_v = list(lam)
     alpha = -sum(lam_v)
-    c0p, dcp = curves["plus"]
-    c0m, dcm = curves["minus"]
+    sides = [(name, sigma * delta, a, f0)
+             for name, sigma, a, f0 in _side_coefficients(data)]
 
     def s_sums(c0, dc, ai):
         s1 = sum((j + 1) * ai**j * c0[j] for j in range(n))
@@ -546,56 +542,40 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
     f_ratio = (data.f0_minus / data.f0_plus) if f0p_nonzero else None
 
     for idx, ai in enumerate(lam_v, start=1):
-        s1p, s2p, s3p, s4p = s_sums(c0p, dcp, ai)
-        s1m, s2m, s3m, s4m = s_sums(c0m, dcm, ai)
-        rhs2p = (data.f0_plus / data.a_plus) * (
-            (ai - alpha) * s1p
-            - delta * data.a_plus * ai ** (2 * k - 1)
-            - delta * (2 * k - 1) * data.a_plus * alpha * ai ** (2 * k - 2))
-        rhs2m = (data.f0_minus / data.a_minus) * (
-            (ai - alpha) * s1m
-            + delta * data.a_minus * ai ** (2 * k - 1)
-            + delta * (2 * k - 1) * data.a_minus * alpha * ai ** (2 * k - 2))
-        rhs4p = (data.f0_plus / data.a_plus) * (
-            (ai - alpha) * s3p + 2 * s1p
-            - delta * (2 * k - 2) * (2 * k - 1)
-            * data.a_plus * alpha * ai ** (2 * k - 3))
-        rhs4m = (data.f0_minus / data.a_minus) * (
-            (ai - alpha) * s3m + 2 * s1m
-            + delta * (2 * k - 2) * (2 * k - 1)
-            * data.a_minus * alpha * ai ** (2 * k - 3))
-        entries.append(Lemma1Entry(
-            index=idx, a_i=ai,
-            s1_plus=s1p, s2_plus=s2p, s3_plus=s3p, s4_plus=s4p,
-            s1_minus=s1m, s2_minus=s2m, s3_minus=s3m, s4_minus=s4m,
-            s2_residual_plus=abs(s2p - rhs2p),
-            s2_residual_minus=abs(s2m - rhs2m),
-            s4_residual_plus=abs(s4p - rhs4p),
-            s4_residual_minus=abs(s4m - rhs4m)))
-        cross["s1"].append(abs(s1m + a_ratio * s1p))
-        cross["s3"].append(abs(s3m + a_ratio * s3p))
+        row = {}
+        for name, sd, a, f0 in sides:
+            s1, s2, s3, s4 = s_sums(*curves[name], ai)
+            rhs2 = (f0 / a) * (
+                (ai - alpha) * s1
+                - sd * a * ai ** (2 * k - 1)
+                - sd * (2 * k - 1) * a * alpha * ai ** (2 * k - 2))
+            rhs4 = (f0 / a) * (
+                (ai - alpha) * s3 + 2 * s1
+                - sd * (2 * k - 2) * (2 * k - 1)
+                * a * alpha * ai ** (2 * k - 3))
+            row.update({f"s1_{name}": s1, f"s2_{name}": s2,
+                        f"s3_{name}": s3, f"s4_{name}": s4,
+                        f"s2_residual_{name}": abs(s2 - rhs2),
+                        f"s4_residual_{name}": abs(s4 - rhs4)})
+        entries.append(Lemma1Entry(index=idx, a_i=ai, **row))
+        cross["s1"].append(abs(row["s1_minus"] + a_ratio * row["s1_plus"]))
+        cross["s3"].append(abs(row["s3_minus"] + a_ratio * row["s3_plus"]))
         if f_ratio is not None:
-            cross["s2"].append(abs(s2m + f_ratio * s2p))
-            cross["s4"].append(abs(s4m + f_ratio * s4p))
+            cross["s2"].append(abs(row["s2_minus"] + f_ratio * row["s2_plus"]))
+            cross["s4"].append(abs(row["s4_minus"] + f_ratio * row["s4_plus"]))
 
     def poly_residual(built: Poly1, target: Poly1) -> float:
         diff = built - target
         return max((abs(float(c)) for c in diff.coeffs), default=0.0)
 
-    t_plus = Poly1([0, *c0p, delta * data.a_plus])
-    t_minus = Poly1([0, *c0m, -delta * data.a_minus])
-    u_plus = Poly1([0, *dcp, 0, delta * data.f0_plus])
-    u_minus = Poly1([0, *dcm, 0, -delta * data.f0_minus])
-    fact = {
-        "T_plus": poly_residual(
-            t_plus, _poly_from_roots(delta * data.a_plus, [0] + lam_v)),
-        "T_minus": poly_residual(
-            t_minus, _poly_from_roots(-delta * data.a_minus, [0] + lam_v)),
-        "U_plus": poly_residual(
-            u_plus, _poly_from_roots(delta * data.f0_plus, [0, alpha] + lam_v)),
-        "U_minus": poly_residual(
-            u_minus, _poly_from_roots(-delta * data.f0_minus, [0, alpha] + lam_v)),
-    }
+    fact = {}
+    for name, sd, a, f0 in sides:
+        c0, dc = curves[name]
+        fact[f"T_{name}"] = poly_residual(
+            Poly1([0, *c0, sd * a]), _poly_from_roots(sd * a, [0] + lam_v))
+        fact[f"U_{name}"] = poly_residual(
+            Poly1([0, *dc, 0, sd * f0]),
+            _poly_from_roots(sd * f0, [0, alpha] + lam_v))
     cross_max = {
         "s1": max(cross["s1"]),
         "s3": max(cross["s3"]),
@@ -603,7 +583,8 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
         "s4": max(cross["s4"]) if cross["s4"] else None,
     }
     return Lemma1Report(
-        alpha=alpha, c_plus=c0p, c_minus=c0m, dc_plus=dcp, dc_minus=dcm,
+        alpha=alpha, c_plus=curves["plus"][0], c_minus=curves["minus"][0],
+        dc_plus=curves["plus"][1], dc_minus=curves["minus"][1],
         entries=entries, factorization_residuals=fact,
         cross_side_residuals=cross_max, mode=mode)
 
@@ -620,9 +601,7 @@ def local_V2_limit_check(Z: PiecewiseField, params: UnfoldingParams,
     """
     data = classify_mts(Z)
     k = params.k
-    if data.k_plus != k or data.k_minus != k:
-        raise InputError(
-            f"field has orders ({data.k_plus}, {data.k_minus}), expected k={k}")
+    require_order(data, k)
     if k < 2:
         raise InputError("the limit check needs an actual unfolding (k >= 2)")
     V2 = float(data.V2)

@@ -292,6 +292,8 @@ def _bool_exponent(doc):
     (_float_exponent, ["classify"], False),
     (_text_exponent, ["classify"], False),
     (_bool_exponent, ["classify"], False),
+    (None, ["classify", "--out", __file__], False),
+    (None, ["classify", "--out", f"{__file__}/sub"], False),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):
