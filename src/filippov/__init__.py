@@ -23,6 +23,7 @@ from .flow import (  # noqa: F401
     LyapunovEstimate,
     ReturnSample,
     displacement,
+    displacements,
     estimate_lyapunov,
     half_return,
     integrate_to_sigma,

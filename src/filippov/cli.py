@@ -25,7 +25,7 @@ from .errors import (
     VerificationMismatch,
 )
 from .field import classify_mts
-from .flow import displacement, estimate_lyapunov, write_delta_csv
+from .flow import displacements, estimate_lyapunov, write_delta_csv
 from .portrait import render_portrait
 from .record import jsonable
 from .scenario import (
@@ -162,8 +162,11 @@ def _cmd_scan(scenario, args):
 
 def _cmd_delta_dump(scenario, args):
     xs = _delta_grid(scenario, 33)
-    samples = [displacement(scenario.field, float(x), scenario.integrator,
-                            base_x=scenario.window.center) for x in xs]
+    samples = displacements(scenario.field, xs, scenario.integrator,
+                            base_x=scenario.window.center)
+    for s in samples:
+        if isinstance(s, FilippovError):
+            raise s
     csv = _out_dir(scenario) / f"{scenario.name}.delta.csv"
     write_delta_csv(samples, csv)
     payload = {"n_samples": len(samples),

@@ -11,6 +11,7 @@ exactly one sliding segment strictly inside its chord on the line.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,13 @@ from .errors import (
     WrongSign,
 )
 from .field import PiecewiseField, SigmaSegment, classify_mts, sigma_regions
-from .flow import IntegratorConfig, displacement, estimate_lyapunov, half_return
+from .flow import (
+    IntegratorConfig,
+    displacement,
+    displacements,
+    estimate_lyapunov,
+    half_return,
+)
 from .poly import BRENT_TOL
 from .record import Record
 from .unfold import (
@@ -166,7 +173,7 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     if u_lo >= radius:
         raise InputError(f"|b|={abs(b)} leaves no room inside radius {radius}")
     grid, values, cfg_local = _sample_grid(
-        Z_b, window_center, radius, u_lo, GRID_POINTS, cfg)
+        Z_b, window_center, radius, u_lo, GRID_POINTS, cfg, diagnostics)
 
     memo = {float(x): v for x, v in zip(grid, values) if v is not None}
 
@@ -195,6 +202,10 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     for i in range(len(grid) - 1):
         v0, v1 = values[i], values[i + 1]
         if v0 is None or v1 is None:
+            if (v0 is None) != (v1 is None):
+                diagnostics.append(
+                    f"window {window_center:+.6g}: bracket ({grid[i]:.9g}, "
+                    f"{grid[i + 1]:.9g}) skipped next to a failed sample")
             continue
         if v0 == 0.0 or (v0 < 0) == (v1 < 0):
             continue
@@ -300,7 +311,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
 
     visible_hit = False
     for i in sorted(set(centers) - set(invisible)):
-        if _coarse_scan(Zb, centers[i], radius, b, cfg):
+        if _coarse_scan(Zb, centers[i], radius, b, cfg, diagnostics):
             visible_hit = True
             diagnostics.append(
                 f"unexpected displacement sign change near visible contact "
@@ -320,29 +331,39 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                         diagnostics=diagnostics)
 
 
-def _sample_grid(Z_b, center, radius, u_lo, n_points, cfg):
+def _sample_grid(Z_b, center, radius, u_lo, n_points, cfg, diagnostics):
     """Displacement on the geometric grid ``center + (u_lo .. radius)``.
 
     Returns the grid, the values (None where an arc failed) and the config
-    windowed to ``center +- 2.5 * radius`` that produced them.
+    windowed to ``center +- 2.5 * radius`` that produced them.  Failed
+    samples are counted per error class in one diagnostic.
     """
     cfg_local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
     grid = center + np.geomspace(u_lo, radius, n_points)
-    values = []
-    for x in grid:
-        try:
-            values.append(float(displacement(
-                Z_b, float(x), cfg_local, base_x=center).delta_value))
-        except FilippovError:
-            values.append(None)
+    samples = displacements(Z_b, grid, cfg_local, base_x=center)
+    failed = Counter(type(s).__name__ for s in samples
+                     if isinstance(s, FilippovError))
+    if failed:
+        classes = ", ".join(f"{name} {n}" for name, n in sorted(failed.items()))
+        diagnostics.append(
+            f"window {center:+.6g}: {sum(failed.values())} of {n_points} "
+            f"displacement samples failed ({classes})")
+    values = [None if isinstance(s, FilippovError) else float(s.delta_value)
+              for s in samples]
     return grid, values, cfg_local
 
 
-def _coarse_scan(Z_b, center, radius, b, cfg, n_points: int = 12) -> bool:
+def _coarse_scan(Z_b, center, radius, b, cfg, diagnostics,
+                 n_points: int = 12) -> bool:
     """Whether the displacement changes sign above noise near a window,
     skipping failed arcs."""
     _, vals, _ = _sample_grid(Z_b, center, radius,
-                              max(abs(b) * 2.0, radius * 1e-3), n_points, cfg)
+                              max(abs(b) * 2.0, radius * 1e-3), n_points, cfg,
+                              diagnostics)
+    if all(v is None for v in vals):
+        diagnostics.append(
+            f"visible window {center:+.6g}: no sample succeeded, the sign "
+            "check had no data")
     noise = 10.0 * cfg.event_tol
     return any(
         v0 is not None and v1 is not None and v0 != 0.0

@@ -1,12 +1,19 @@
 """Event-driven numerical integration across the switching line.
 
-Orbit arcs are integrated with an adaptive high-order Runge-Kutta pair
-(DOP853) with dense output; the return to ``y = 0`` is located by scanning a
-refined mesh for sign changes and solving the dense output there by Brent's
-method.  A departure guard keeps the event search from re-triggering on the
-start point, which lies exactly on the line: crossings are only accepted
+Orbit arcs are integrated in lanes: one lane per start point, each with its
+own direction, all advanced together by one vectorised DOP853 (Hairer,
+Norsett & Wanner, *Solving ODEs I*, sections II.5-6).  Step control is per
+lane and follows ``scipy.integrate.DOP853``; there are no chunks and no
+restarts.  The dense output of every accepted step is scanned on a refined
+mesh for sign changes of ``y``, a crossing is solved on that lane's
+interpolant by Brent's method, and a lane stops at its first accepted
+crossing.  A departure guard keeps the event search from re-triggering on
+the start point, which lies exactly on the line: crossings are only accepted
 once the orbit has either reached height ``guard_height`` or run for longer
 than ``guard_time``.
+
+Lanes never mix: every stage combination is summed elementwise in a fixed
+order, so a lane's result is bit-identical alone or in a batch.
 """
 
 from __future__ import annotations
@@ -15,29 +22,56 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (bench/tracer.py patches this name)
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.optimize import brentq
 
-from .errors import InputError, NoReturn, NotInWindow, StepFailure, Inconclusive
+from .errors import (
+    FilippovError,
+    Inconclusive,
+    InputError,
+    NoReturn,
+    NotInWindow,
+    StepFailure,
+)
 from .field import SIGMA, PiecewiseField, SmoothField
 from .poly import BRENT_TOL
 from .record import Record
 
-# First integration chunk length; grown geometrically until max_time.
-_CHUNK0 = 0.25
-_CHUNK_GROWTH = 6.0
-# Subdivisions of every solver step when scanning for crossings.
+
+def _terms(row) -> tuple:
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+# DOP853 tables as (stage, coefficient) pairs over the nonzero entries;
+# _A[s] builds stage s (s = 12 is the solution, 13-15 the dense extras).
+_A = tuple(_terms(_dop.A[s, :s]) for s in range(_dop.N_STAGES_EXTENDED))
+_E5 = _terms(_dop.E5)
+_E3 = _terms(_dop.E3)
+_D = tuple(_terms(row) for row in _dop.D)
+_STAGES = _dop.N_STAGES
+# scipy's step-size controller.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # error estimator order 7
+# Subdivisions of every accepted step when scanning for crossings.
 _SCAN_REFINE = 8
+_THETAS = tuple((m + 1) / _SCAN_REFINE for m in range(_SCAN_REFINE))
+# Length of the time span after the start over which the tangency step
+# cap holds; past it resolution no longer matters.
+_CAPPED_SPAN = 0.25
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerances and guards for orbit-arc integration.
 
-    ``window``, when set, bounds the abscissa range an arc may visit;
-    escaping it raises :class:`NotInWindow`.  ``event_tol`` only sets the
-    displacement noise floor, ``10 * event_tol``; crossings are located to
-    a few ulps whatever its value.
+    They apply per lane: every arc of a batch gets its own step control
+    from ``rel_tol``/``abs_tol``/``max_step`` and runs until its first
+    accepted crossing or ``max_time`` (then :class:`NoReturn`), with no
+    chunks.  ``window``, when set, bounds the abscissa range an arc may
+    visit; escaping it raises :class:`NotInWindow` for that lane only.
+    ``event_tol`` only sets the displacement noise floor, ``10 * event_tol``;
+    crossings are located to a few ulps whatever its value.
     """
 
     rel_tol: float = 1e-10
@@ -91,12 +125,267 @@ class LyapunovEstimate(Record):
     center: bool = False
 
 
-def _refined_mesh(ts: np.ndarray) -> np.ndarray:
-    if len(ts) < 2:
-        return np.asarray(ts, dtype=float)
-    pieces = [np.linspace(ts[i], ts[i + 1], _SCAN_REFINE + 1)[:-1]
-              for i in range(len(ts) - 1)]
-    return np.concatenate(pieces + [ts[-1:]])
+def _rhs(field: SmoothField, sgn, s):
+    """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0."""
+    out = np.empty_like(s)
+    out[0] = field.X.eval(s[0], s[1])
+    out[1] = field.Y.eval(s[0], s[1])
+    out *= sgn
+    return out
+
+
+def _combine(terms, K):
+    """``sum_j a_j K[j]`` over ``terms``, always in the same order."""
+    (j0, a0), *rest = terms
+    acc = a0 * K[j0]
+    for j, a in rest:
+        acc += a * K[j]
+    return acc
+
+
+def _norm(v):
+    """Euclidean norm over the two state components, per lane."""
+    return np.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def _interpolate(F, y_old, thetas):
+    """Dense output at step fractions ``thetas``: shape (len, 2, n)."""
+    th = np.asarray(thetas)[:, None, None]
+    out = np.zeros((len(thetas),) + y_old.shape)
+    for i, f in enumerate(F[::-1]):
+        out += f
+        out *= th if i % 2 == 0 else 1.0 - th
+    return out + y_old
+
+
+def _interpolate1(coeffs, y_old: float, theta: float) -> float:
+    """One component of one lane's dense output, as :func:`_interpolate`
+    computes it."""
+    v = 0.0
+    for i, c in enumerate(reversed(coeffs)):
+        v += c
+        v *= theta if i % 2 == 0 else 1.0 - theta
+    return v + y_old
+
+
+class _Lanes:
+    """Independent DOP853 integrations of one smooth field, one per lane.
+
+    Per-lane arrays: states ``y`` and derivatives ``f`` of shape (2, n);
+    time ``t``, next step size ``h`` and the rejected-since-last-acceptance
+    flag of shape (n,).  Time runs forward in every lane; ``sgn`` = -1
+    reverses the field for a lane integrated backward.
+    """
+
+    def __init__(self, field: SmoothField, y0, sgn, rtol: float, atol: float):
+        self.field, self.sgn = field, np.asarray(sgn, dtype=float)
+        self.rtol, self.atol = rtol, atol
+        self.y = np.array(y0, dtype=float)
+        self.f = _rhs(field, self.sgn, self.y)
+        self.t = np.zeros(self.y.shape[1])
+        self.h = np.full(self.y.shape[1], math.nan)
+        self.rejected = np.zeros(self.y.shape[1], dtype=bool)
+
+    def select_initial_step(self, interval, max_step) -> None:
+        """``scipy.integrate._ivp.common.select_initial_step`` per lane."""
+        y, f = self.y, self.f
+        scale = self.atol + np.abs(y) * self.rtol
+        d0 = _norm(y / scale) / math.sqrt(2.0)
+        d1 = _norm(f / scale) / math.sqrt(2.0)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, interval)
+        f1 = _rhs(self.field, self.sgn, y + h0 * f)
+        d2 = _norm((f1 - f) / scale) / math.sqrt(2.0) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
+        self.h = np.minimum(np.minimum(100 * h0, h1),
+                            np.minimum(interval, max_step))
+
+    def attempt(self, bound, max_step):
+        """Try one step in every lane, clipped at ``bound``.
+
+        Returns the masks ``(accepted, failed)``; failed lanes needed a
+        step below ``min_step``.  Accepted lanes advance, and the step's
+        start ``t_old``/``y_old``, length ``h_step`` and dense-output coefficients
+        ``F`` (shape (7, 2, n)) are kept for every lane.
+        """
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        fresh = ~self.rejected
+        h = np.where(fresh & (self.h > max_step), max_step, self.h)
+        h = np.where(fresh & (h < min_step), min_step, h)
+        failed = self.rejected & (h < min_step)
+        t_new = np.minimum(t + h, bound)
+        h = t_new - t
+
+        K = np.empty((_dop.N_STAGES_EXTENDED,) + y.shape)
+        K[0] = f
+        for s in range(1, _STAGES):
+            K[s] = _rhs(self.field, self.sgn, y + _combine(_A[s], K) * h)
+        y_new = y + h * _combine(_A[_STAGES], K)
+        K[_STAGES] = f_new = _rhs(self.field, self.sgn, y_new)
+
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        err5 = _norm(_combine(_E5, K) / scale) ** 2
+        err3 = _norm(_combine(_E3, K) / scale) ** 2
+        norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * 2.0)
+        norm = np.where((err5 == 0) & (err3 == 0), 0.0, norm)
+        factor = _SAFETY * norm ** _ERROR_EXPONENT
+        accepted = (norm < 1) & ~failed
+        grow = np.where(factor < _MAX_FACTOR, factor, _MAX_FACTOR)
+        grow = np.where(self.rejected, np.minimum(1.0, grow), grow)
+        shrink = np.where(factor > _MIN_FACTOR, factor, _MIN_FACTOR)
+        self.h = np.abs(h) * np.where(accepted, grow, shrink)
+        self.rejected = ~accepted
+
+        for s in range(_STAGES + 1, _dop.N_STAGES_EXTENDED):
+            K[s] = _rhs(self.field, self.sgn, y + _combine(_A[s], K) * h)
+        delta = y_new - y
+        self.F = np.stack([delta, h * f - delta, 2 * delta - h * (f_new + f)]
+                          + [h * _combine(row, K) for row in _D])
+        self.t_old, self.y_old, self.h_step = t, y, h
+        self.t = np.where(accepted, t_new, t)
+        self.y = np.where(accepted, y_new, y)
+        self.f = np.where(accepted, f_new, f)
+        return accepted, failed
+
+    def keep(self, mask) -> None:
+        """Drop the lanes outside ``mask``."""
+        self.sgn, self.t, self.h = self.sgn[mask], self.t[mask], self.h[mask]
+        self.y, self.f = self.y[:, mask], self.f[:, mask]
+        self.rejected = self.rejected[mask]
+
+
+def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
+    """Integrate one orbit arc per start until it returns to ``y = 0``.
+
+    ``signs`` holds +1 for a lane integrated along the field, -1 against
+    it.  Returns, per lane, ``(x_return, trajectory)`` or the
+    :class:`FilippovError` that ended the lane; trajectories are ``(n, 2)``
+    arrays of ``(x, y)`` states ending at the located crossing.
+    """
+    n = len(starts)
+    out: list = [None] * n
+    if n == 0:
+        return out
+    with np.errstate(all="ignore"):
+        lanes = _Lanes(field, np.array(starts, dtype=float).T, signs,
+                       cfg.rel_tol, cfg.abs_tol)
+        cap, span = _start_cap(field, lanes.y, cfg)
+        lanes.select_initial_step(span, cap)
+
+        ids = np.arange(n)
+        max_abs_y = np.abs(lanes.y[1])
+        trails = [[np.array([s], dtype=float)] for s in starts]
+        while ids.size:
+            accepted, failed = lanes.attempt(
+                cfg.max_time, np.where(lanes.t < span, cap, cfg.max_step))
+            done = failed.copy()
+            for i in np.flatnonzero(failed):
+                out[ids[i]] = StepFailure(
+                    "Required step size is less than spacing between numbers.")
+            steps = np.flatnonzero(accepted)
+            mesh = _interpolate(lanes.F[:, :, steps], lanes.y_old[:, steps],
+                                _THETAS)
+            xs, ys = mesh[:, 0], mesh[:, 1]
+            prev = np.concatenate([lanes.y_old[1:, steps], ys[:-1]])
+            event = (((prev != 0) & (ys == 0)) | (prev * ys < 0)).any(axis=0)
+            if cfg.window is not None:
+                lo, hi = cfg.window
+                event |= ~((lo <= xs) & (xs <= hi)).all(axis=0)
+            quiet = steps[~event]
+            max_abs_y[quiet] = np.fmax(max_abs_y[quiet],
+                                       np.fmax.reduce(np.abs(ys[:, ~event]), axis=0))
+            for a, i in enumerate(steps):
+                result = None
+                if event[a]:
+                    result, max_abs_y[i] = _scan_step(
+                        lanes, i, mesh[:, :, a], max_abs_y[i], cfg)
+                if result is None:
+                    trails[ids[i]].append(mesh[:, :, a])
+                    if lanes.t[i] >= cfg.max_time:
+                        result = NoReturn(
+                            "no return to the switching line within "
+                            f"max_time={cfg.max_time}")
+                elif not isinstance(result, FilippovError):
+                    x_star, tail = result
+                    result = (x_star, np.concatenate(trails[ids[i]] + [tail]))
+                if result is not None:
+                    done[i] = True
+                    out[ids[i]] = result
+            if done.any():
+                keep = ~done
+                lanes.keep(keep)
+                ids, span, cap = ids[keep], span[keep], cap[keep]
+                max_abs_y = max_abs_y[keep]
+    return out
+
+
+def _start_cap(field: SmoothField, y, cfg: IntegratorConfig):
+    """Step cap near each start and the time span it holds for.
+
+    Starts close to a tangency produce arcs far shorter than the default
+    step; without a commensurate step cap the dip back through y = 0 can
+    fall inside a single step and stay invisible to the mesh scan.  The
+    vertical time scale |dy/dt| / |d2y/dt2| at the start sets the cap
+    (direction-independent, sgn^2 = 1).
+    """
+    x, y = y
+    vy0 = np.zeros(len(x)) + field.Y.eval(x, y)
+    acc = (np.zeros(len(x)) + field.Y.partial("x").eval(x, y) * field.X.eval(x, y)
+           + field.Y.partial("y").eval(x, y) * vy0)
+    t_scale = np.where((vy0 != 0) & (acc != 0), np.abs(vy0) / np.abs(acc),
+                       math.inf)
+    tangent = np.isfinite(t_scale)
+    cap = np.where(tangent, np.minimum(cfg.max_step, np.maximum(
+        t_scale / 2.0, cfg.guard_time / 4.0)), cfg.max_step)
+    span = np.where(tangent, np.minimum(_CAPPED_SPAN, np.maximum(
+        8.0 * t_scale, 4.0 * cfg.guard_time)), _CAPPED_SPAN)
+    return cap, np.minimum(span, cfg.max_time)
+
+
+def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float,
+               cfg: IntegratorConfig):
+    """Scan lane ``i``'s accepted step for a window escape or an accepted
+    crossing, in mesh order.
+
+    ``mesh`` holds the dense output at :data:`_THETAS`, shape (m, 2).
+    Returns ``(result, max_abs_y)``: result is None when the lane goes on,
+    a :class:`NotInWindow`, or ``(x_star, tail)`` with ``tail`` the mesh
+    points before the crossing followed by the crossing itself.
+    """
+    window = cfg.window
+    cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
+    x0, y0 = lanes.y_old[:, i].tolist()
+    y_prev, th_prev = y0, 0.0
+    for m, th in enumerate(_THETAS):
+        x_here, y_here = mesh[m].tolist()
+        if window is not None and not (window[0] <= x_here <= window[1]):
+            return NotInWindow(
+                f"arc reached x={x_here:.6g} outside window {window}"), max_abs_y
+        if (y_prev != 0.0 and y_here == 0.0) or y_prev * y_here < 0.0:
+            if y_here == 0.0:
+                th_star = th
+            else:
+                th_star = brentq(lambda s: _interpolate1(cy, y0, s), th_prev,
+                                 th, xtol=BRENT_TOL, rtol=BRENT_TOL)
+            t_star = float(lanes.t_old[i]) + th_star * float(lanes.h_step[i])
+            if max_abs_y > cfg.guard_height or t_star > cfg.guard_time:
+                crossing = [_interpolate1(cx, x0, th_star),
+                            _interpolate1(cy, y0, th_star)]
+                return (crossing[0], np.vstack([mesh[:m], [crossing]])), max_abs_y
+        if abs(y_here) > max_abs_y:
+            max_abs_y = abs(y_here)
+        y_prev, th_prev = y_here, th
+    return None, max_abs_y
+
+
+def _one(result):
+    """The value of a one-lane result, or raise its error."""
+    if isinstance(result, FilippovError):
+        raise result
+    return result
 
 
 def integrate_to_sigma(field: SmoothField, start, direction: str,
@@ -110,76 +399,28 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
     if direction not in ("forward", "backward"):
         raise InputError(f"unknown direction {direction!r}")
     sgn = 1.0 if direction == "forward" else -1.0
-    fx, fy = field.X, field.Y
+    start = (float(start[0]), float(start[1]))
+    return _one(_arcs(field, [start], [sgn], cfg)[0])
 
-    def rhs(t, s):
-        x, y = s
-        return (sgn * fx.eval(x, y), sgn * fy.eval(x, y))
 
-    window = cfg.window
-    t0 = 0.0
-    state = [float(start[0]), float(start[1])]
-    max_abs_y = abs(state[1])
-    path = [np.array([state])]
-
-    # Starts close to a tangency produce arcs far shorter than the default
-    # step; without a commensurate step cap the dip back through y = 0 can
-    # fall inside a single step and stay invisible to endpoint sign checks.
-    # The vertical time scale |dy/dt| / |d2y/dt2| at the start bounds the
-    # first chunk's step size (direction-independent, sgn^2 = 1).
-    vy0 = float(fy.eval(state[0], state[1]))
-    acc = float(fy.partial("x").eval(state[0], state[1])
-                * fx.eval(state[0], state[1])
-                + fy.partial("y").eval(state[0], state[1]) * vy0)
-    t_scale = abs(vy0) / abs(acc) if vy0 != 0.0 and acc != 0.0 else math.inf
-    if math.isfinite(t_scale):
-        first_cap = min(cfg.max_step, max(t_scale / 2.0, cfg.guard_time / 4.0))
-        chunk = min(_CHUNK0, max(8.0 * t_scale, 4.0 * cfg.guard_time))
-    else:
-        first_cap = cfg.max_step
-        chunk = _CHUNK0
-    step_cap = first_cap
-
-    while t0 < cfg.max_time:
-        t1 = min(t0 + chunk, cfg.max_time)
-        sol = solve_ivp(rhs, (t0, t1), state, method="DOP853",
-                        rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                        max_step=step_cap, dense_output=True)
-        if not sol.success:
-            raise StepFailure(sol.message)
-        tf = _refined_mesh(sol.t)
-        states = sol.sol(tf)
-        xs, ys = states[0], states[1]
-
-        for idx in range(1, len(tf)):
-            if window is not None and not (window[0] <= xs[idx] <= window[1]):
-                raise NotInWindow(
-                    f"arc reached x={xs[idx]:.6g} outside window {window}")
-            y_prev, y_here = ys[idx - 1], ys[idx]
-            crossed = (y_prev != 0.0 and y_here == 0.0) or (y_prev * y_here < 0.0)
-            if crossed:
-                if y_here == 0.0:
-                    t_star = tf[idx]
-                else:
-                    t_star = brentq(lambda t: sol.sol(t)[1], tf[idx - 1],
-                                    tf[idx], xtol=BRENT_TOL, rtol=BRENT_TOL)
-                if max_abs_y > cfg.guard_height or t_star > cfg.guard_time:
-                    x_star, y_star = (float(v) for v in sol.sol(t_star))
-                    keep = tf <= t_star
-                    path.append(np.column_stack([xs[keep], ys[keep]]))
-                    path.append(np.array([[x_star, y_star]]))
-                    return x_star, np.concatenate(path)
-            if abs(y_here) > max_abs_y:
-                max_abs_y = abs(y_here)
-
-        path.append(np.column_stack([xs[1:], ys[1:]]))
-        state = [float(sol.y[0, -1]), float(sol.y[1, -1])]
-        t0 = float(sol.t[-1])
-        chunk *= _CHUNK_GROWTH
-        step_cap = cfg.max_step  # resolution matters only near the start
-
-    raise NoReturn(
-        f"no return to the switching line within max_time={cfg.max_time}")
+def _half_arcs(Z: PiecewiseField, side: str, xs, cfg: IntegratorConfig) -> list:
+    """:func:`half_arc` per abscissa, as one batch of lanes; a result or an
+    error per abscissa."""
+    field = Z.side(side)
+    out: list = [None] * len(xs)
+    lanes, signs = [], []
+    for n, x in enumerate(xs):
+        y0 = float(field.Y.eval(x, 0.0))
+        if y0 == 0.0:
+            out[n] = InputError(
+                f"({x}, 0) is a tangency point; the half-return map is undefined")
+        else:
+            lanes.append(n)
+            signs.append(1.0 if SIGMA[side] * y0 > 0.0 else -1.0)
+    arcs = _arcs(field, [(float(xs[n]), 0.0) for n in lanes], signs, cfg)
+    for n, arc in zip(lanes, arcs):
+        out[n] = arc
+    return out
 
 
 def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
@@ -190,13 +431,24 @@ def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
     Returns ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
     tangency start raises :class:`InputError`.
     """
-    field = Z.side(side)
-    y0 = float(field.Y.eval(x, 0.0))
-    if y0 == 0.0:
-        raise InputError(
-            f"({x}, 0) is a tangency point; the half-return map is undefined")
-    direction = "forward" if SIGMA[side] * y0 > 0.0 else "backward"
-    return integrate_to_sigma(field, (x, 0.0), direction, cfg)
+    return _one(_half_arcs(Z, side, [x], cfg)[0])
+
+
+def _half_returns(Z: PiecewiseField, side: str, xs,
+                  cfg: IntegratorConfig) -> list:
+    """:func:`half_return` per abscissa: a value or an error each."""
+    Y = Z.side(side).Y
+    fixed = [x == 0.0 and float(Y.eval(x, 0.0)) == 0.0 for x in xs]
+    arcs = iter(_half_arcs(Z, side, [x for x, f in zip(xs, fixed) if not f],
+                           cfg))
+    out = []
+    for f in fixed:
+        if f:
+            out.append(0.0)
+        else:
+            arc = next(arcs)
+            out.append(arc if isinstance(arc, FilippovError) else arc[0])
+    return out
 
 
 def half_return(Z: PiecewiseField, side: str, x: float,
@@ -206,9 +458,31 @@ def half_return(Z: PiecewiseField, side: str, x: float,
     By continuity the map fixes the singularity itself, so ``x = 0`` with a
     vanishing vertical component returns 0; elsewhere see :func:`half_arc`.
     """
-    if x == 0.0 and float(Z.side(side).Y.eval(x, 0.0)) == 0.0:
-        return 0.0
-    return half_arc(Z, side, x, cfg)[0]
+    return _one(_half_returns(Z, side, [x], cfg)[0])
+
+
+def displacements(Z: PiecewiseField, xs, cfg: IntegratorConfig,
+                  base_x: float = 0.0) -> list:
+    """:func:`displacement` at every abscissa of ``xs``, integrated as lanes.
+
+    Returns one :class:`ReturnSample` or one :class:`FilippovError` per
+    abscissa, in order.  Upper arcs run first; a lower arc is integrated
+    only where the upper arc returned.
+    """
+    xs = [float(x) for x in xs]
+    xu = float(Z.upper.X.eval(base_x, 0.0))
+    if xu == 0.0:
+        error = InputError(f"upper horizontal component vanishes at base {base_x}")
+        return [error] * len(xs)
+    delta = 1.0 if xu > 0 else -1.0
+    out = _half_returns(Z, "upper", xs, cfg)
+    returned = [n for n, pp in enumerate(out) if not isinstance(pp, FilippovError)]
+    lower = _half_returns(Z, "lower", [xs[n] for n in returned], cfg)
+    for n, pm in zip(returned, lower):
+        pp = out[n]
+        out[n] = pm if isinstance(pm, FilippovError) else ReturnSample(
+            x=xs[n], phi_plus=pp, phi_minus=pm, delta_value=delta * (pp - pm))
+    return out
 
 
 def displacement(Z: PiecewiseField, x: float, cfg: IntegratorConfig,
@@ -219,14 +493,7 @@ def displacement(Z: PiecewiseField, x: float, cfg: IntegratorConfig,
     window's base abscissa, not at ``x`` itself: it is a constant of the
     monodromic configuration.
     """
-    xu = float(Z.upper.X.eval(base_x, 0.0))
-    if xu == 0.0:
-        raise InputError(f"upper horizontal component vanishes at base {base_x}")
-    delta = 1.0 if xu > 0 else -1.0
-    pp = half_return(Z, "upper", x, cfg)
-    pm = half_return(Z, "lower", x, cfg)
-    return ReturnSample(x=x, phi_plus=pp, phi_minus=pm,
-                        delta_value=delta * (pp - pm))
+    return _one(displacements(Z, [x], cfg, base_x)[0])
 
 
 def estimate_lyapunov(Z: PiecewiseField, window, cfg: IntegratorConfig,
@@ -243,7 +510,7 @@ def estimate_lyapunov(Z: PiecewiseField, window, cfg: IntegratorConfig,
     if not (0 < x_min < x_max):
         raise InputError("window must satisfy 0 < x_min < x_max")
     xs = np.geomspace(x_min, x_max, n_points)
-    deltas = np.array([displacement(Z, float(x), cfg).delta_value for x in xs])
+    deltas = np.array([_one(s).delta_value for s in displacements(Z, xs, cfg)])
 
     noise = 10.0 * cfg.event_tol
     if np.all(np.abs(deltas) < noise):

@@ -4,20 +4,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import level_set_return
 from filippov import (
+    UnfoldingParams,
     displacement,
+    displacements,
     estimate_lyapunov,
     half_return,
     integrate_to_sigma,
     monodromic_family,
     cross_coupled_system,
 )
-from filippov.errors import InputError, NoReturn, NotInWindow
+from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
-from filippov.flow import write_delta_csv
+from filippov.flow import _interpolate, _Lanes, write_delta_csv
 from filippov.poly import Poly2
+from filippov.unfold import unfolded_shifted
 
 
 def rotation_like():
@@ -66,15 +70,20 @@ def test_half_return_symmetric_center(cfg):
         assert half_return(Z, "lower", x, cfg) == pytest.approx(-x, abs=1e-9)
 
 
-@pytest.mark.parametrize("x", [0.2 / 2 ** n for n in range(8)])
+ORACLE_XS = [0.2 / 2 ** n for n in range(8)]
+
+
+@pytest.mark.parametrize("x", ORACLE_XS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_half_return_vs_level_set_oracle(cfg, k, x):
+    # the one-lane call and the same abscissa inside a batch of all eight
     Z = monodromic_family(k, 1.0)
-    got = half_return(Z, "upper", x, cfg)
+    batched = displacements(Z, ORACLE_XS, cfg)[ORACLE_XS.index(x)].phi_plus
     oracle = level_set_return(Z.upper, x, -2.0 * x, -1e-4 * x)
-    assert got == pytest.approx(oracle, abs=1e-12)
+    for got in (half_return(Z, "upper", x, cfg), batched):
+        assert got == pytest.approx(oracle, abs=1e-12)
     if (k, x) == (1, 0.1):
-        assert got == pytest.approx(-0.0937, abs=1e-3)
+        assert batched == pytest.approx(-0.0937, abs=1e-3)
 
 
 def test_half_return_lower_is_exact_reflection(cfg):
@@ -109,6 +118,119 @@ def test_tolerance_scaling(cfg):
     a = half_return(Z, "upper", 0.1, cfg)
     b = half_return(Z, "upper", 0.1, tight)
     assert abs(a - b) < 5e-9
+
+
+# -- lanes -------------------------------------------------------------------------
+
+def _pendulum():
+    # nonlinear and y-coupled: x' = y + x^2/5, y' = -x - 3x^3/10 + y/10 + xy/5
+    return SmoothField(Poly2({(0, 1): 1.0, (2, 0): 0.2}),
+                       Poly2({(1, 0): -1.0, (3, 0): -0.3, (0, 1): 0.1,
+                              (1, 1): 0.2}))
+
+
+def _lane_vs_scipy(sgn, T, rtol, atol, max_step, first_step):
+    """Step one lane over (0, T) and scipy's DOP853 with the same options;
+    returns both step times, states and step-midpoint dense outputs."""
+    field, y0 = _pendulum(), (0.8, -0.3)
+
+    def rhs(t, s):
+        return [sgn * field.X.eval(*s), sgn * field.Y.eval(*s)]
+
+    ref = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol,
+                    max_step=max_step, first_step=first_step, dense_output=True)
+    lanes = _Lanes(field, np.array([y0]).T, [sgn], rtol, atol)
+    if first_step is None:
+        lanes.select_initial_step(np.array([T]), np.array([max_step]))
+    else:
+        lanes.h = np.array([first_step])
+    ts, ys, mids = [0.0], [y0], []
+    while lanes.t[0] < T:
+        accepted, failed = lanes.attempt(np.array([T]), np.array([max_step]))
+        assert not failed[0]
+        if accepted[0]:
+            ts.append(lanes.t[0])
+            ys.append(lanes.y[:, 0].copy())
+            mids.append(_interpolate(lanes.F, lanes.y_old, [0.5])[0, :, 0])
+    ref_mids = ref.sol(0.5 * (ref.t[:-1] + ref.t[1:])).T
+    return (np.array(ts), np.array(ys), np.array(mids)), (ref.t, ref.y.T, ref_mids)
+
+
+@pytest.mark.parametrize("sgn", [1.0, -1.0])
+def test_lane_matches_scipy_dop853(sgn):
+    # max_step binds every step, so both take the same 40 steps: the stages,
+    # weights and dense output agree to rounding
+    got, ref = _lane_vs_scipy(sgn, 2.0, 1e-10, 1e-12, 0.05, 0.05)
+    assert len(got[0]) == len(ref[0]) == 41
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+@pytest.mark.parametrize("first_step", [None, 1e-3])
+@pytest.mark.parametrize("sgn", [1.0, -1.0])
+def test_lane_step_control_follows_scipy(sgn, first_step):
+    # free step control: DOP853's error estimate cancels to ~1e-7 relative
+    # at these tolerances, so the summation order moves the step sizes
+    # slightly; the controller itself must take scipy's steps
+    got, ref = _lane_vs_scipy(sgn, 5.0, 1e-6, 1e-9, np.inf, first_step)
+    assert len(got[0]) == len(ref[0]) >= 8
+    assert np.max(np.abs(got[0] - ref[0])) <= 1e-5
+    assert np.max(np.abs(got[1] - ref[1])) <= 1e-5
+
+
+def _census_grid(k, lam, eps, b, window):
+    params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
+                             shift_convention="minus")
+    _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
+    nodes = (0.0,) + lam
+    radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
+    center = 0.0 if window == 0 else eps * lam[window - 1]
+    xs = center + np.geomspace(abs(b) * (1.0 + 1e-3), radius, 50)
+    return Zb, xs, center, radius
+
+
+def _outcome(sample):
+    if isinstance(sample, FilippovError):
+        return type(sample).__name__
+    return (sample.x, sample.phi_plus, sample.phi_minus, sample.delta_value)
+
+
+@pytest.mark.parametrize("case", ["k2-window1", "k3-window1", "cross-coupled"])
+def test_lanes_are_independent(cfg, case):
+    # every sample is bit-identical integrated alone or in a batch of 50,
+    # failed samples included
+    if case == "cross-coupled":
+        Z, xs, center = cross_coupled_system(), np.geomspace(0.005, 0.2, 50), 0.0
+        local = cfg
+    else:
+        k, lam, eps, b = {"k2-window1": (2, (-1.0, 1.0), 0.1, -1e-6),
+                          "k3-window1": (3, (-1.0, 1.0, 2.0, 3.0), 0.05, -1e-8)}[case]
+        Z, xs, center, radius = _census_grid(k, lam, eps, b, 1)
+        local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
+    batch = [_outcome(s) for s in displacements(Z, xs, local, base_x=center)]
+    alone = [_outcome(displacements(Z, [x], local, base_x=center)[0]) for x in xs]
+    assert batch == alone
+    assert sum(isinstance(s, tuple) for s in batch) >= 36
+    if case == "k3-window1":
+        assert batch.count("NotInWindow") == 14
+
+
+def test_failed_lanes_are_isolated(cfg):
+    # one batch: a return, a tangency start, a window escape, an arc still
+    # aloft at max_time, and a second return
+    Z = monodromic_family(1, 1.0)
+    local = dataclasses.replace(cfg, max_time=1.0, window=(-0.3, 0.9))
+    xs = [0.2, 1.0, 0.6, 0.8, 0.1]
+    batch = displacements(Z, xs, local)
+    assert [type(s).__name__ for s in batch] == [
+        "ReturnSample", "InputError", "NotInWindow", "NoReturn", "ReturnSample"]
+    for x, s in zip(xs, batch):
+        if isinstance(s, FilippovError):
+            with pytest.raises(type(s)):
+                displacement(Z, x, local)
+        else:
+            assert displacement(Z, x, local) == s
+            assert s.phi_minus == pytest.approx(-x, abs=1e-9)
 
 
 # -- displacement ------------------------------------------------------------------
