@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     FilippovError,
@@ -198,6 +197,7 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
             f"window {window_center:+.6g}: displacement below noise (center)")
         return []
 
+    from scipy.optimize import brentq
     cycles = []
     for i in range(len(grid) - 1):
         v0, v1 = values[i], values[i + 1]

@@ -18,13 +18,11 @@ order, so a lane's result is bit-identical alone or in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  (bench/tracer.py patches this name)
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.optimize import brentq
 
 from .errors import (
     FilippovError,
@@ -43,13 +41,25 @@ def _terms(row) -> tuple:
     return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
 
 
-# DOP853 tables as (stage, coefficient) pairs over the nonzero entries;
-# _A[s] builds stage s (s = 12 is the solution, 13-15 the dense extras).
-_A = tuple(_terms(_dop.A[s, :s]) for s in range(_dop.N_STAGES_EXTENDED))
-_E5 = _terms(_dop.E5)
-_E3 = _terms(_dop.E3)
-_D = tuple(_terms(row) for row in _dop.D)
-_STAGES = _dop.N_STAGES
+@functools.cache
+def _tables():
+    """scipy's DOP853 ``(A, E5, E3, D, stages)`` as nonzero (stage, coefficient)
+    pairs; A[s] builds stage s, s = ``stages`` the solution, then dense extras."""
+    from scipy.integrate._ivp import dop853_coefficients as dop
+    return (tuple(_terms(row[:s]) for s, row in enumerate(dop.A)),
+            _terms(dop.E5), _terms(dop.E3), tuple(_terms(r) for r in dop.D),
+            dop.N_STAGES)
+
+
+def __getattr__(name):
+    """``solve_ivp``, imported from scipy.integrate on first access, stays a
+    module attribute that callers such as ``bench/tracer.py`` can wrap."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # scipy's step-size controller.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # error estimator order 7
@@ -185,6 +195,7 @@ class _Lanes:
         self.t = np.zeros(self.y.shape[1])
         self.h = np.full(self.y.shape[1], math.nan)
         self.rejected = np.zeros(self.y.shape[1], dtype=bool)
+        self.tables = _tables()
 
     def select_initial_step(self, interval, max_step) -> None:
         """``scipy.integrate._ivp.common.select_initial_step`` per lane."""
@@ -219,16 +230,17 @@ class _Lanes:
         t_new = np.minimum(t + h, bound)
         h = t_new - t
 
-        K = np.empty((_dop.N_STAGES_EXTENDED,) + y.shape)
+        A, E5, E3, D, stages = self.tables
+        K = np.empty((len(A),) + y.shape)
         K[0] = f
-        for s in range(1, _STAGES):
-            K[s] = _rhs(self.field, self.sgn, y + _combine(_A[s], K) * h)
-        y_new = y + h * _combine(_A[_STAGES], K)
-        K[_STAGES] = f_new = _rhs(self.field, self.sgn, y_new)
+        for s in range(1, stages):
+            K[s] = _rhs(self.field, self.sgn, y + _combine(A[s], K) * h)
+        y_new = y + h * _combine(A[stages], K)
+        K[stages] = f_new = _rhs(self.field, self.sgn, y_new)
 
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        err5 = _norm(_combine(_E5, K) / scale) ** 2
-        err3 = _norm(_combine(_E3, K) / scale) ** 2
+        err5 = _norm(_combine(E5, K) / scale) ** 2
+        err3 = _norm(_combine(E3, K) / scale) ** 2
         norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * 2.0)
         norm = np.where((err5 == 0) & (err3 == 0), 0.0, norm)
         factor = _SAFETY * norm ** _ERROR_EXPONENT
@@ -239,11 +251,11 @@ class _Lanes:
         self.h = np.abs(h) * np.where(accepted, grow, shrink)
         self.rejected = ~accepted
 
-        for s in range(_STAGES + 1, _dop.N_STAGES_EXTENDED):
-            K[s] = _rhs(self.field, self.sgn, y + _combine(_A[s], K) * h)
+        for s in range(stages + 1, len(A)):
+            K[s] = _rhs(self.field, self.sgn, y + _combine(A[s], K) * h)
         delta = y_new - y
         self.F = np.stack([delta, h * f - delta, 2 * delta - h * (f_new + f)]
-                          + [h * _combine(row, K) for row in _D])
+                          + [h * _combine(row, K) for row in D])
         self.t_old, self.y_old, self.h_step = t, y, h
         self.t = np.where(accepted, t_new, t)
         self.y = np.where(accepted, y_new, y)
@@ -269,6 +281,7 @@ def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
     out: list = [None] * n
     if n == 0:
         return out
+    from scipy.optimize import brentq
     with np.errstate(all="ignore"):
         lanes = _Lanes(field, np.array(starts, dtype=float).T, signs,
                        cfg.rel_tol, cfg.abs_tol)
@@ -301,7 +314,7 @@ def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
                 result = None
                 if event[a]:
                     result, max_abs_y[i] = _scan_step(
-                        lanes, i, mesh[:, :, a], max_abs_y[i], cfg)
+                        lanes, i, mesh[:, :, a], max_abs_y[i], cfg, brentq)
                 if result is None:
                     trails[ids[i]].append(mesh[:, :, a])
                     if lanes.t[i] >= cfg.max_time:
@@ -346,11 +359,12 @@ def _start_cap(field: SmoothField, y, cfg: IntegratorConfig):
 
 
 def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float,
-               cfg: IntegratorConfig):
+               cfg: IntegratorConfig, brentq):
     """Scan lane ``i``'s accepted step for a window escape or an accepted
     crossing, in mesh order.
 
-    ``mesh`` holds the dense output at :data:`_THETAS`, shape (m, 2).
+    ``mesh`` holds the dense output at :data:`_THETAS`, shape (m, 2);
+    ``brentq`` is ``scipy.optimize.brentq``, imported once per batch.
     Returns ``(result, max_abs_y)``: result is None when the lane goes on,
     a :class:`NotInWindow`, or ``(x_star, tail)`` with ``tail`` the mesh
     points before the crossing followed by the crossing itself.

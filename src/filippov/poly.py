@@ -20,8 +20,6 @@ import numbers
 import sys
 from fractions import Fraction
 
-from scipy.optimize import brentq
-
 from .errors import DegreeCapExceeded, DuplicateTerm, InputError
 
 # All constructions in this package need total degree <= 2k with k <= 4;
@@ -68,7 +66,7 @@ class Poly2:
 
         Duplicate exponent pairs are an input error, not an accumulation,
         and so are an exponent that is not an integer and a coefficient
-        that is not a finite real number.
+        that is not a real number within the float range.
         """
         terms = {}
         for entry in triples:
@@ -80,8 +78,7 @@ class Poly2:
                        for e in (i, j)):
                 raise InputError(f"exponents of {entry!r} must be integers")
             key = (int(i), int(j))
-            finite = isinstance(c, (int, Fraction)) or (
-                isinstance(c, numbers.Real) and math.isfinite(c))
+            finite = isinstance(c, numbers.Real) and abs(c) <= sys.float_info.max
             if isinstance(c, bool) or not finite:
                 raise InputError(f"coefficient {c!r} of {key} is not a finite number")
             if key in terms:
@@ -375,6 +372,7 @@ class Poly1:
                 continue
             if (v0 < 0) == (v1 < 0):
                 continue
+            from scipy.optimize import brentq
             roots.append(brentq(p, t0, t1, xtol=BRENT_TOL, rtol=BRENT_TOL))
         roots.sort()
         merged = []

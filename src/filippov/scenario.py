@@ -49,12 +49,13 @@ def _object(value, where: str) -> dict:
 
 def _component(side_doc: dict, side: str, comp: str) -> Poly2:
     triples = _object(side_doc, f"field.{side}").get(comp)
-    if not triples:
+    if not isinstance(triples, list) or not triples:
         raise InputError(f"field.{side}.{comp} must be a nonempty monomial list")
     return Poly2.from_triples(triples)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    _object(doc, "scenario document")
     try:
         name = doc["name"]
         field_doc = _object(doc["field"], "field")
@@ -82,7 +83,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 epsilon=float(u.get("epsilon", 0.1)),
                 b=float(u.get("b", 0.0)),
                 shift_convention=str(u.get("shift", "minus")))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed unfold block: {exc}") from exc
 
     wdoc = _object(doc.get("window") or {}, "window")
@@ -96,7 +97,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         integrator = IntegratorConfig(**overrides)
         window = Window(center=float(wdoc.get("center", 0.0)),
                         radius=float(wdoc.get("radius", 0.3)))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed integrator or window value: {exc}") from exc
     if not (math.isfinite(window.center) and 0 < window.radius < math.inf):
         raise InputError("window center must be finite, radius positive and finite")
@@ -114,8 +115,6 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("scenario document must be a JSON object")
     return scenario_from_dict(doc)
 
 

@@ -1,14 +1,20 @@
 """Command-line surface: exit codes, determinism, file formats."""
 
+import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filippov.cli import main, run
 from filippov.scenario import load_scenario, scenario_from_dict, scenario_to_dict
 from filippov.errors import InputError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def family_doc(name, k, c, unfold=None, window=None, outputs="out"):
@@ -224,6 +230,45 @@ def test_console_entry_point(scenario_path):
     assert "quad.classify: ok" in proc.stdout
 
 
+_LAZY_SCIPY = """
+import sys
+import filippov, filippov.cli
+from filippov import (IntegratorConfig, UnfoldingParams, build_perturbation,
+                      classify_mts, cycle_producing_sign, displacement,
+                      lemma1_check, local_V2_limit_check, monodromic_family,
+                      verify_contact_ladder)
+from filippov.unfold import build_unfolded
+
+def loaded():
+    return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+
+Z = monodromic_family(2, 1.0)
+data = classify_mts(Z)
+b = cycle_producing_sign(data.delta, data.V2, "minus") * 1e-6
+params = UnfoldingParams(k=2, lam=(-1.0, 1.0), epsilon=0.1, b=b,
+                         shift_convention="minus")
+ladder = verify_contact_ladder(
+    build_unfolded(Z, build_perturbation(Z, params, data)), params)
+lemma1_check(Z, 2, params.lam)
+limit = local_V2_limit_check(Z, params)
+print(ladder.ok, limit.ok, loaded())
+displacement(Z, 0.02, IntegratorConfig())
+print(loaded())
+"""
+
+
+def test_algebraic_layers_do_not_load_scipy():
+    """Classification, unfolding, the ladder, Lemma 1 and the V2 limit run
+    without scipy; the first arc loads it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "True True []", "['scipy.optimize', 'scipy.integrate']"]
+
+
 def test_shipped_scenarios_parse():
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -239,6 +284,10 @@ def _nan_coefficient(doc):
 
 def _text_coefficient(doc):
     doc["field"]["upper"]["Y"][0][2] = "abc"
+
+
+def _huge_coefficient(doc):
+    doc["field"]["upper"]["Y"][0][2] = 2**1100
 
 
 def _bad_integrator(doc):
@@ -294,6 +343,7 @@ def _bool_exponent(doc):
     (_bool_exponent, ["classify"], False),
     (None, ["classify", "--out", __file__], False),
     (None, ["classify", "--out", f"{__file__}/sub"], False),
+    (_huge_coefficient, ["classify"], False),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):
@@ -308,3 +358,60 @@ def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
     assert report.exists() == loads
     if loads:
         assert json.loads(report.read_text())["status"] == "error"
+
+
+# -- input contract: any JSON-like document parses or raises InputError --------
+
+_SCENARIO_KEYS = ("name", "field", "upper", "lower", "X", "Y", "unfold", "k",
+                  "lambda", "epsilon", "b", "shift", "integrator", "rel_tol",
+                  "max_step", "window", "center", "radius", "outputs")
+_json_leaves = (st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+                | st.integers() | st.integers(min_value=2**1023, max_value=2**1100))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_SCENARIO_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=16)
+_SHIPPED = [json.loads(p.read_text())
+            for p in sorted((ROOT / "scenarios").glob("*.json"))]
+
+
+def _node_paths(node, path=()):
+    """Key paths of every leaf and section below the root."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _node_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A shipped scenario with one leaf or section replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_SHIPPED)))
+    *parents, last = draw(st.sampled_from(list(_node_paths(doc))))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = draw(_json_values)
+    return doc
+
+
+def _parses_or_input_error(doc):
+    try:
+        scenario_from_dict(doc)
+    except InputError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values | st.dictionaries(st.sampled_from(_SCENARIO_KEYS),
+                                      _json_values))
+def test_any_json_document_parses_or_is_input_error(doc):
+    _parses_or_input_error(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_scenarios())
+def test_mutated_shipped_scenario_parses_or_is_input_error(doc):
+    _parses_or_input_error(doc)

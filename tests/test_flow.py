@@ -323,3 +323,14 @@ def test_delta_csv_format(cfg, tmp_path):
     x, d = lines[1].split(",")
     assert float(x) == 0.05
     assert float(d) == pytest.approx(samples[0].delta_value, rel=1e-15)
+
+
+def test_solve_ivp_is_a_lazy_module_attribute():
+    """``filippov.flow.solve_ivp`` is scipy's, imported on first access, so
+    callers can still wrap it as bound there; other names stay missing."""
+    import filippov.flow as flow
+    assert flow.solve_ivp is solve_ivp
+    with pytest.raises(AttributeError):
+        flow.no_such_attribute
+    with pytest.raises(ImportError):
+        from filippov.flow import no_such_attribute  # noqa: F401
