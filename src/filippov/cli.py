@@ -92,6 +92,9 @@ def _cmd_verify_ladder(scenario, args):
 def _cmd_verify_lemma1(scenario, args):
     k = _unfold_params(scenario).k
     gate = args.gate
+    if args.seed < 0 or args.draws < 0 or not gate > 0:
+        raise InputError(f"--seed {args.seed} and --draws {args.draws} must be "
+                         f"non-negative and --gate {gate} positive")
     if args.draws > 0:
         rng = np.random.default_rng(args.seed)
         worst = 0.0

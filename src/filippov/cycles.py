@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .flow import (
     displacement,
     displacements,
     estimate_lyapunov,
-    half_return,
 )
 from .poly import BRENT_TOL
 from .record import Record
@@ -46,6 +46,7 @@ HYPERBOLICITY_TOL = 1e-8
 
 ROOT_RESIDUAL_TOL = 1e-12
 GRID_POINTS = 50
+VISIBLE_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -159,32 +160,49 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     Scans the displacement on a geometric grid of offsets
     ``(|b|*(1+1e-3), radius)`` from the window center, brackets sign
     changes, solves them by Brent's method to residual ``1e-12`` (a memo
-    seeded with the grid values computes each displacement once), then
-    checks hyperbolicity and sliding-segment enclosure.  Non-hyperbolic
+    seeded with the grid samples computes each displacement once), then
+    integrates the root's two slope probes (and the root, if not yet in
+    the memo) as one batch for the hyperbolicity check and the chord's
+    left end, and checks sliding-segment enclosure.  Non-hyperbolic
     roots and windows where the displacement never leaves the noise floor
-    ("center") are reported through ``diagnostics``, not returned.
+    ("center") are reported through ``diagnostics``, not returned.  The
+    census runs the same search on its windows' shared grid batch.
     """
     if diagnostics is None:
         diagnostics = []
+    u_lo = _inner_offset(b, radius)
+    (window,) = _sample_windows(
+        Z_b, [(window_center, radius, u_lo, GRID_POINTS)], cfg)
+    return _refine_window(Z_b, window, b, cfg, diagnostics)
+
+
+def _inner_offset(b: float, radius: float) -> float:
+    """Inner end of a searched window's grid, just outside the split pair."""
     if radius <= 0:
         raise InputError("radius must be positive")
     u_lo = abs(b) * (1.0 + 1e-3) if b != 0 else radius * 1e-4
     if u_lo >= radius:
         raise InputError(f"|b|={abs(b)} leaves no room inside radius {radius}")
-    grid, values, cfg_local = _sample_grid(
-        Z_b, window_center, radius, u_lo, GRID_POINTS, cfg, diagnostics)
+    return u_lo
 
-    memo = {float(x): v for x, v in zip(grid, values) if v is not None}
 
-    def delta_at(x):
+def _refine_window(Z_b, window, b, cfg, diagnostics) -> list:
+    """:func:`find_cycles_local` on one window sampled by
+    :func:`_sample_windows`."""
+    window_center, radius, grid, samples, cfg_local = window
+    values = _values(window, diagnostics)
+    memo = {float(x): s for x, s in zip(grid, samples)}
+
+    def sample_at(x):
         if x not in memo:
-            memo[x] = displacement(
-                Z_b, x, cfg_local, base_x=window_center).delta_value
+            memo[x] = displacement(Z_b, x, cfg_local, base_x=window_center)
+        if isinstance(memo[x], FilippovError):
+            raise memo[x]
         return memo[x]
 
     def settled(x):
         # brentq stops at an exact zero: treat the residual target as one
-        v = delta_at(x)
+        v = sample_at(x).delta_value
         return 0.0 if abs(v) < ROOT_RESIDUAL_TOL else v
 
     valid = [v for v in values if v is not None]
@@ -214,8 +232,13 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
         if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
             continue
         step = 1e-6 * radius
+        probes = [x for x in (x_star + step, x_star - step, x_star)
+                  if x not in memo]
+        memo.update(zip(probes, displacements(Z_b, probes, cfg_local,
+                                              base_x=window_center)))
         try:
-            deriv = (delta_at(x_star + step) - delta_at(x_star - step)) / (2 * step)
+            deriv = (sample_at(x_star + step).delta_value
+                     - sample_at(x_star - step).delta_value) / (2 * step)
         except FilippovError as exc:
             diagnostics.append(
                 f"derivative estimate failed at x={x_star:.9g}: {exc}")
@@ -225,7 +248,8 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
                 f"non-hyperbolic root at x={x_star:.9g}: |delta'|={abs(deriv):.3e}")
             continue
         stability = "stable" if deriv < 0 else "unstable"
-        x_left = half_return(Z_b, "lower", x_star, cfg_local)
+        root = sample_at(x_star)
+        x_left = root.phi_minus
         pad = 1e-9 * radius
         sliding = [
             seg for seg in sigma_regions(Z_b, (x_left, x_star))
@@ -242,7 +266,7 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
             x_star=x_star, b=b, window_center=window_center,
             amplitude=x_star - window_center, stability=stability,
             derivative=deriv, enclosed_segment=enclosed, x_left=x_left))
-        residual = abs(delta_at(x_star))
+        residual = abs(root.delta_value)
         if residual > 10 * ROOT_RESIDUAL_TOL:
             diagnostics.append(
                 f"root residual {residual:.3e} above target at "
@@ -264,8 +288,10 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     """Full cycle count for the unfolded, shifted field.
 
     Builds the perturbation at ``params.epsilon``, applies the ``b`` shift,
-    searches every invisible contact window for cycles, and coarse-scans the
-    visible windows, which must stay cycle-free.  ``expected_count`` is the
+    samples every contact window's grid in one batch, then searches each
+    invisible window for cycles as :func:`find_cycles_local` does and
+    sign-checks the coarse grids of the visible windows, which must stay
+    cycle-free.  ``expected_count`` is the
     unfolding order ``k``; the report passes when exactly ``k`` hyperbolic
     cycles are found, all sharing the stability dictated by the sign of
     ``V2``, each enclosing a single sliding segment, pairwise disjoint on
@@ -280,6 +306,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     if k >= 2 and not params.is_ordered():
         raise InputError("ordered nodes a1 < 0 < a2 < ... are required")
     b = params.b
+    _, Zb = unfolded_shifted(Z, params, data)
 
     node_set = [0.0] + [float(a) for a in params.lam]
     if k >= 2:
@@ -298,24 +325,24 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                 f"predicted amplitude {predicted:.3e} exceeds half the "
                 f"window radius {radius:.3e}; reduce |b|")
 
-    _, Zb = unfolded_shifted(Z, params, data)
+    # every window's grid in one batch; then each window in turn, so that
+    # its diagnostics keep their place
+    centers = [0.0] + [params.epsilon * float(a) for a in params.lam]
+    invisible = sorted(expected_invisible_indices(k))
+    visible = sorted(set(range(2 * k - 1)) - set(invisible))
+    u_lo = _inner_offset(b, radius)
+    coarse = max(abs(b) * 2.0, radius * 1e-3)
+    windows = _sample_windows(
+        Zb, [(centers[i], radius, u_lo, GRID_POINTS) for i in invisible]
+        + [(centers[i], radius, coarse, VISIBLE_POINTS) for i in visible], cfg)
 
     diagnostics: list = []
     cycles: list = []
-    invisible = sorted(expected_invisible_indices(k))
-    centers = {i: (0.0 if i == 0 else params.epsilon * float(params.lam[i - 1]))
-               for i in range(2 * k - 1)}
-    for i in invisible:
-        cycles.extend(find_cycles_local(
-            Zb, centers[i], radius, b, cfg, diagnostics))
-
+    for window in windows[:len(invisible)]:
+        cycles.extend(_refine_window(Zb, window, b, cfg, diagnostics))
     visible_hit = False
-    for i in sorted(set(centers) - set(invisible)):
-        if _coarse_scan(Zb, centers[i], radius, b, cfg, diagnostics):
-            visible_hit = True
-            diagnostics.append(
-                f"unexpected displacement sign change near visible contact "
-                f"at x={centers[i]:+.6g}")
+    for window in windows[len(invisible):]:
+        visible_hit |= _sign_changes(window, cfg, diagnostics)
 
     want_stability = "stable" if V2 < 0 else "unstable"
     passed = (
@@ -331,44 +358,66 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                         diagnostics=diagnostics)
 
 
-def _sample_grid(Z_b, center, radius, u_lo, n_points, cfg, diagnostics):
-    """Displacement on the geometric grid ``center + (u_lo .. radius)``.
+class _Window(NamedTuple):
+    """A window's grid, its samples (each a :class:`ReturnSample` or a
+    :class:`FilippovError`) and its config, windowed to ``center +- 2.5 r``."""
 
-    Returns the grid, the values (None where an arc failed) and the config
-    windowed to ``center +- 2.5 * radius`` that produced them.  Failed
-    samples are counted per error class in one diagnostic.
-    """
-    cfg_local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
-    grid = center + np.geomspace(u_lo, radius, n_points)
-    samples = displacements(Z_b, grid, cfg_local, base_x=center)
-    failed = Counter(type(s).__name__ for s in samples
+    center: float
+    radius: float
+    grid: np.ndarray
+    samples: list
+    cfg: IntegratorConfig
+
+
+def _sample_windows(Z_b, specs, cfg) -> list:
+    """Displacement on the grid ``center + geomspace(u_lo, radius, n)`` of
+    every window ``(center, radius, u_lo, n)`` in ``specs``, as one batch:
+    each sample bounded and oriented by its own window, as in that
+    window's own batch.  One :class:`_Window` per spec, in order."""
+    grids = [center + np.geomspace(u_lo, radius, n)
+             for center, radius, u_lo, n in specs]
+    local = [cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
+             for center, radius, _, _ in specs]
+    samples = iter(displacements(
+        Z_b, np.concatenate(grids), cfg,
+        base_x=[spec[0] for spec in specs for _ in range(spec[3])],
+        windows=[c.window for c, spec in zip(local, specs)
+                 for _ in range(spec[3])]))
+    return [_Window(center, radius, grid, [next(samples) for _ in grid], c)
+            for (center, radius, _, _), grid, c in zip(specs, grids, local)]
+
+
+def _values(window: _Window, diagnostics: list) -> list:
+    """The window's displacement values, None where a sample failed; one
+    diagnostic counts the failed samples per error class."""
+    failed = Counter(type(s).__name__ for s in window.samples
                      if isinstance(s, FilippovError))
     if failed:
         classes = ", ".join(f"{name} {n}" for name, n in sorted(failed.items()))
         diagnostics.append(
-            f"window {center:+.6g}: {sum(failed.values())} of {n_points} "
-            f"displacement samples failed ({classes})")
-    values = [None if isinstance(s, FilippovError) else float(s.delta_value)
-              for s in samples]
-    return grid, values, cfg_local
+            f"window {window.center:+.6g}: {sum(failed.values())} of "
+            f"{len(window.grid)} displacement samples failed ({classes})")
+    return [None if isinstance(s, FilippovError) else float(s.delta_value)
+            for s in window.samples]
 
 
-def _coarse_scan(Z_b, center, radius, b, cfg, diagnostics,
-                 n_points: int = 12) -> bool:
-    """Whether the displacement changes sign above noise near a window,
-    skipping failed arcs."""
-    _, vals, _ = _sample_grid(Z_b, center, radius,
-                              max(abs(b) * 2.0, radius * 1e-3), n_points, cfg,
-                              diagnostics)
+def _sign_changes(window: _Window, cfg, diagnostics) -> bool:
+    """Whether a visible window's displacement changes sign above noise,
+    skipping failed samples; a sign change is also reported."""
+    vals = _values(window, diagnostics)
     if all(v is None for v in vals):
         diagnostics.append(
-            f"visible window {center:+.6g}: no sample succeeded, the sign "
-            "check had no data")
+            f"visible window {window.center:+.6g}: no sample succeeded, the "
+            "sign check had no data")
     noise = 10.0 * cfg.event_tol
-    return any(
-        v0 is not None and v1 is not None and v0 != 0.0
-        and (v0 < 0) != (v1 < 0) and max(abs(v0), abs(v1)) > noise
-        for v0, v1 in zip(vals, vals[1:]))
+    hit = any(v0 is not None and v1 is not None and v0 != 0.0
+              and (v0 < 0) != (v1 < 0) and max(abs(v0), abs(v1)) > noise
+              for v0, v1 in zip(vals, vals[1:]))
+    if hit:
+        diagnostics.append(
+            "unexpected displacement sign change near visible contact "
+            f"at x={window.center:+.6g}")
+    return hit
 
 
 def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,

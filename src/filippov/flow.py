@@ -1,10 +1,12 @@
 """Event-driven numerical integration across the switching line.
 
 Orbit arcs are integrated in lanes: one lane per start point, each with its
-own direction, all advanced together by one vectorised DOP853 (Hairer,
-Norsett & Wanner, *Solving ODEs I*, sections II.5-6).  Step control is per
-lane and follows ``scipy.integrate.DOP853``; there are no chunks and no
-restarts.  The dense output of every accepted step is scanned on a refined
+own direction and its own window bound, all advanced together by one
+vectorised DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, sections
+II.5-6), so that the grids of several windows share each round of stage
+evaluations; the right-hand side comes from a power table compiled once
+per batch.  Step control is per lane and follows ``scipy.integrate.DOP853``;
+there are no chunks and no restarts.  The dense output of every accepted step is scanned on a refined
 mesh for sign changes of ``y``, a crossing is solved on that lane's
 interpolant by Brent's method, and a lane stops at its first accepted
 crossing.  A departure guard keeps the event search from re-triggering on
@@ -135,15 +137,6 @@ class LyapunovEstimate(Record):
     center: bool = False
 
 
-def _rhs(field: SmoothField, sgn, s):
-    """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0."""
-    out = np.empty_like(s)
-    out[0] = field.X.eval(s[0], s[1])
-    out[1] = field.Y.eval(s[0], s[1])
-    out *= sgn
-    return out
-
-
 def _combine(terms, K):
     """``sum_j a_j K[j]`` over ``terms``, always in the same order."""
     (j0, a0), *rest = terms
@@ -188,14 +181,36 @@ class _Lanes:
     """
 
     def __init__(self, field: SmoothField, y0, sgn, rtol: float, atol: float):
-        self.field, self.sgn = field, np.asarray(sgn, dtype=float)
+        self.sgn = np.asarray(sgn, dtype=float)
         self.rtol, self.atol = rtol, atol
+        # (coefficient, i, j) per term of X and of Y, in Poly2.eval's order
+        self.terms = tuple(tuple((float(c), i, j) for (i, j), c in p.terms.items())
+                           for p in (field.X, field.Y))
+        self.x_powers = sorted({i for t in self.terms for _, i, _ in t if i})
+        self.y_powers = sorted({j for t in self.terms for _, _, j in t if j})
         self.y = np.array(y0, dtype=float)
-        self.f = _rhs(field, self.sgn, self.y)
+        self.f = self.rhs(self.y)
         self.t = np.zeros(self.y.shape[1])
         self.h = np.full(self.y.shape[1], math.nan)
         self.rejected = np.zeros(self.y.shape[1], dtype=bool)
         self.tables = _tables()
+
+    def rhs(self, s):
+        """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0.
+
+        Bit-identical to :meth:`Poly2.eval`: the same terms summed from zero
+        as ``(c * x**i) * y**j``, with the powers taken once from a shared
+        table and exponent-0 factors (exact ones) skipped."""
+        x, y = s
+        px = {i: x ** i for i in self.x_powers}
+        py = {j: y ** j for j in self.y_powers}
+        out = np.zeros_like(s)
+        for row, terms in zip(out, self.terms):
+            for c, i, j in terms:
+                v = c * px[i] if i else c
+                row += v * py[j] if j else v
+        out *= self.sgn
+        return out
 
     def select_initial_step(self, interval, max_step) -> None:
         """``scipy.integrate._ivp.common.select_initial_step`` per lane."""
@@ -205,7 +220,7 @@ class _Lanes:
         d1 = _norm(f / scale) / math.sqrt(2.0)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, interval)
-        f1 = _rhs(self.field, self.sgn, y + h0 * f)
+        f1 = self.rhs(y + h0 * f)
         d2 = _norm((f1 - f) / scale) / math.sqrt(2.0) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
@@ -234,9 +249,9 @@ class _Lanes:
         K = np.empty((len(A),) + y.shape)
         K[0] = f
         for s in range(1, stages):
-            K[s] = _rhs(self.field, self.sgn, y + _combine(A[s], K) * h)
+            K[s] = self.rhs(y + _combine(A[s], K) * h)
         y_new = y + h * _combine(A[stages], K)
-        K[stages] = f_new = _rhs(self.field, self.sgn, y_new)
+        K[stages] = f_new = self.rhs(y_new)
 
         scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
         err5 = _norm(_combine(E5, K) / scale) ** 2
@@ -252,7 +267,7 @@ class _Lanes:
         self.rejected = ~accepted
 
         for s in range(stages + 1, len(A)):
-            K[s] = _rhs(self.field, self.sgn, y + _combine(A[s], K) * h)
+            K[s] = self.rhs(y + _combine(A[s], K) * h)
         delta = y_new - y
         self.F = np.stack([delta, h * f - delta, 2 * delta - h * (f_new + f)]
                           + [h * _combine(row, K) for row in D])
@@ -269,11 +284,13 @@ class _Lanes:
         self.rejected = self.rejected[mask]
 
 
-def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
+def _arcs(field: SmoothField, starts, signs, windows,
+          cfg: IntegratorConfig) -> list:
     """Integrate one orbit arc per start until it returns to ``y = 0``.
 
     ``signs`` holds +1 for a lane integrated along the field, -1 against
-    it.  Returns, per lane, ``(x_return, trajectory)`` or the
+    it; ``windows`` holds each lane's ``(lo, hi)`` abscissa bound, or None
+    for an unbounded lane.  Returns, per lane, ``(x_return, trajectory)`` or the
     :class:`FilippovError` that ended the lane; trajectories are ``(n, 2)``
     arrays of ``(x, y)`` states ending at the located crossing.
     """
@@ -289,6 +306,8 @@ def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
         lanes.select_initial_step(span, cap)
 
         ids = np.arange(n)
+        lo, hi = np.array([(-math.inf, math.inf) if w is None else w
+                           for w in windows], dtype=float).T
         max_abs_y = np.abs(lanes.y[1])
         trails = [[np.array([s], dtype=float)] for s in starts]
         while ids.size:
@@ -304,9 +323,8 @@ def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
             xs, ys = mesh[:, 0], mesh[:, 1]
             prev = np.concatenate([lanes.y_old[1:, steps], ys[:-1]])
             event = (((prev != 0) & (ys == 0)) | (prev * ys < 0)).any(axis=0)
-            if cfg.window is not None:
-                lo, hi = cfg.window
-                event |= ~((lo <= xs) & (xs <= hi)).all(axis=0)
+            at = ids[steps]
+            event |= ~((lo[at] <= xs) & (xs <= hi[at])).all(axis=0)
             quiet = steps[~event]
             max_abs_y[quiet] = np.fmax(max_abs_y[quiet],
                                        np.fmax.reduce(np.abs(ys[:, ~event]), axis=0))
@@ -314,7 +332,8 @@ def _arcs(field: SmoothField, starts, signs, cfg: IntegratorConfig) -> list:
                 result = None
                 if event[a]:
                     result, max_abs_y[i] = _scan_step(
-                        lanes, i, mesh[:, :, a], max_abs_y[i], cfg, brentq)
+                        lanes, i, mesh[:, :, a], max_abs_y[i], windows[ids[i]],
+                        cfg, brentq)
                 if result is None:
                     trails[ids[i]].append(mesh[:, :, a])
                     if lanes.t[i] >= cfg.max_time:
@@ -358,10 +377,10 @@ def _start_cap(field: SmoothField, y, cfg: IntegratorConfig):
     return cap, np.minimum(span, cfg.max_time)
 
 
-def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float,
+def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float, window,
                cfg: IntegratorConfig, brentq):
-    """Scan lane ``i``'s accepted step for a window escape or an accepted
-    crossing, in mesh order.
+    """Scan lane ``i``'s accepted step for an escape from its ``window``
+    (None: unbounded) or an accepted crossing, in mesh order.
 
     ``mesh`` holds the dense output at :data:`_THETAS`, shape (m, 2);
     ``brentq`` is ``scipy.optimize.brentq``, imported once per batch.
@@ -369,7 +388,6 @@ def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float,
     a :class:`NotInWindow`, or ``(x_star, tail)`` with ``tail`` the mesh
     points before the crossing followed by the crossing itself.
     """
-    window = cfg.window
     cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
     x0, y0 = lanes.y_old[:, i].tolist()
     y_prev, th_prev = y0, 0.0
@@ -414,12 +432,13 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
         raise InputError(f"unknown direction {direction!r}")
     sgn = 1.0 if direction == "forward" else -1.0
     start = (float(start[0]), float(start[1]))
-    return _one(_arcs(field, [start], [sgn], cfg)[0])
+    return _one(_arcs(field, [start], [sgn], [cfg.window], cfg)[0])
 
 
-def _half_arcs(Z: PiecewiseField, side: str, xs, cfg: IntegratorConfig) -> list:
-    """:func:`half_arc` per abscissa, as one batch of lanes; a result or an
-    error per abscissa."""
+def _half_arcs(Z: PiecewiseField, side: str, xs, windows,
+               cfg: IntegratorConfig) -> list:
+    """:func:`half_arc` per abscissa, as one batch of lanes bounded by
+    ``windows``; a result or an error per abscissa."""
     field = Z.side(side)
     out: list = [None] * len(xs)
     lanes, signs = [], []
@@ -431,7 +450,8 @@ def _half_arcs(Z: PiecewiseField, side: str, xs, cfg: IntegratorConfig) -> list:
         else:
             lanes.append(n)
             signs.append(1.0 if SIGMA[side] * y0 > 0.0 else -1.0)
-    arcs = _arcs(field, [(float(xs[n]), 0.0) for n in lanes], signs, cfg)
+    arcs = _arcs(field, [(float(xs[n]), 0.0) for n in lanes], signs,
+                 [windows[n] for n in lanes], cfg)
     for n, arc in zip(lanes, arcs):
         out[n] = arc
     return out
@@ -445,23 +465,20 @@ def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
     Returns ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
     tangency start raises :class:`InputError`.
     """
-    return _one(_half_arcs(Z, side, [x], cfg)[0])
+    return _one(_half_arcs(Z, side, [x], [cfg.window], cfg)[0])
 
 
-def _half_returns(Z: PiecewiseField, side: str, xs,
+def _half_returns(Z: PiecewiseField, side: str, xs, windows,
                   cfg: IntegratorConfig) -> list:
     """:func:`half_return` per abscissa: a value or an error each."""
     Y = Z.side(side).Y
-    fixed = [x == 0.0 and float(Y.eval(x, 0.0)) == 0.0 for x in xs]
-    arcs = iter(_half_arcs(Z, side, [x for x, f in zip(xs, fixed) if not f],
-                           cfg))
-    out = []
-    for f in fixed:
-        if f:
-            out.append(0.0)
-        else:
-            arc = next(arcs)
-            out.append(arc if isinstance(arc, FilippovError) else arc[0])
+    moving = [n for n, x in enumerate(xs)
+              if not (x == 0.0 and float(Y.eval(x, 0.0)) == 0.0)]
+    out: list = [0.0] * len(xs)
+    arcs = _half_arcs(Z, side, [xs[n] for n in moving],
+                      [windows[n] for n in moving], cfg)
+    for n, arc in zip(moving, arcs):
+        out[n] = arc if isinstance(arc, FilippovError) else arc[0]
     return out
 
 
@@ -472,28 +489,40 @@ def half_return(Z: PiecewiseField, side: str, x: float,
     By continuity the map fixes the singularity itself, so ``x = 0`` with a
     vanishing vertical component returns 0; elsewhere see :func:`half_arc`.
     """
-    return _one(_half_returns(Z, side, [x], cfg)[0])
+    return _one(_half_returns(Z, side, [x], [cfg.window], cfg)[0])
 
 
 def displacements(Z: PiecewiseField, xs, cfg: IntegratorConfig,
-                  base_x: float = 0.0) -> list:
+                  base_x=0.0, windows=None) -> list:
     """:func:`displacement` at every abscissa of ``xs``, integrated as lanes.
 
-    Returns one :class:`ReturnSample` or one :class:`FilippovError` per
-    abscissa, in order.  Upper arcs run first; a lower arc is integrated
-    only where the upper arc returned.
+    ``base_x`` (orientation base) and ``windows`` (arc bound, in place of
+    ``cfg.window``) may be given per sample, so that several windows share
+    one batch.  Returns one :class:`ReturnSample` or one
+    :class:`FilippovError` per abscissa, in order.  Upper arcs run first; a
+    lower arc is integrated only where the upper arc returned.
     """
     xs = [float(x) for x in xs]
-    xu = float(Z.upper.X.eval(base_x, 0.0))
-    if xu == 0.0:
-        error = InputError(f"upper horizontal component vanishes at base {base_x}")
-        return [error] * len(xs)
-    delta = 1.0 if xu > 0 else -1.0
-    out = _half_returns(Z, "upper", xs, cfg)
-    returned = [n for n, pp in enumerate(out) if not isinstance(pp, FilippovError)]
-    lower = _half_returns(Z, "lower", [xs[n] for n in returned], cfg)
-    for n, pm in zip(returned, lower):
-        pp = out[n]
+    bases = ([float(base_x)] * len(xs) if np.ndim(base_x) == 0
+             else [float(x) for x in base_x])
+    if windows is None:
+        windows = [cfg.window] * len(xs)
+    xu = {base: float(Z.upper.X.eval(base, 0.0)) for base in set(bases)}
+    out: list = [None if xu[base] != 0.0 else InputError(
+        f"upper horizontal component vanishes at base {base}") for base in bases]
+    pending = [n for n, s in enumerate(out) if s is None]
+    upper = _half_returns(Z, "upper", [xs[n] for n in pending],
+                          [windows[n] for n in pending], cfg)
+    returned = []
+    for n, pp in zip(pending, upper):
+        if isinstance(pp, FilippovError):
+            out[n] = pp
+        else:
+            returned.append((n, pp))
+    lower = _half_returns(Z, "lower", [xs[n] for n, _ in returned],
+                          [windows[n] for n, _ in returned], cfg)
+    for (n, pp), pm in zip(returned, lower):
+        delta = 1.0 if xu[bases[n]] > 0 else -1.0
         out[n] = pm if isinstance(pm, FilippovError) else ReturnSample(
             x=xs[n], phi_plus=pp, phi_minus=pm, delta_value=delta * (pp - pm))
     return out

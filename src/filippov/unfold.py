@@ -293,23 +293,29 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
     n = 2 * k - 2
     nodes = np.array(lam) * eps
     powers = np.arange(1, n + 1)
-    H = nodes[:, None] ** powers[None, :]
 
     sides = []
-    for xi in xi_values(Z, data, lam, eps):
-        xv = np.array([float(v) for v in xi])
-        direct = np.linalg.solve(H, xv)
-        full = newton_through_origin(lam, [float(v) for v in xi])
-        rescaled = np.array([full[j] / eps**j for j in range(1, n + 1)])
-        gap = float(np.linalg.norm(direct - rescaled))
-        if gap > METHOD_AGREEMENT_TOL:
-            raise IllConditioned(
-                f"interpolation routes disagree by {gap:.3e} in coefficient norm")
-        sides.append(Poly1([0.0, *rescaled]))
+    try:
+        with np.errstate(over="raise"):
+            H = nodes[:, None] ** powers[None, :]
+        for xi in xi_values(Z, data, lam, eps):
+            xv = np.array([float(v) for v in xi])
+            direct = np.linalg.solve(H, xv)
+            full = newton_through_origin(lam, [float(v) for v in xi])
+            rescaled = np.array([full[j] / eps**j for j in range(1, n + 1)])
+            gap = float(np.linalg.norm(direct - rescaled))
+            if gap > METHOD_AGREEMENT_TOL:
+                raise IllConditioned(
+                    f"interpolation routes disagree by {gap:.3e} in coefficient norm")
+            sides.append(Poly1([0.0, *rescaled]))
+        norms = sides[0].norm(), sides[1].norm()
+    except (OverflowError, FloatingPointError) as exc:
+        raise InputError(
+            f"epsilon={eps:g} is too large: the perturbation leaves the "
+            "float range") from exc
 
-    return PerturbationPolys(
-        p_plus=sides[0], p_minus=sides[1],
-        norm_plus=sides[0].norm(), norm_minus=sides[1].norm())
+    return PerturbationPolys(p_plus=sides[0], p_minus=sides[1],
+                             norm_plus=norms[0], norm_minus=norms[1])
 
 
 def build_unfolded(Z: PiecewiseField, polys: PerturbationPolys) -> PiecewiseField:

@@ -344,6 +344,11 @@ def _bool_exponent(doc):
     (None, ["classify", "--out", __file__], False),
     (None, ["classify", "--out", f"{__file__}/sub"], False),
     (_huge_coefficient, ["classify"], False),
+    (None, ["cycles", "--epsilon", "1e308"], True),
+    (None, ["verify-lemma1", "--seed", "-1", "--draws", "5"], True),
+    (None, ["cycles", "--epsilon", "-0.1"], True),
+    (None, ["verify-lemma1", "--draws", "-1"], True),
+    (None, ["verify-lemma1", "--gate", "nan"], True),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):

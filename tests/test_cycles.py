@@ -12,15 +12,27 @@ from filippov import (
     cycle_census,
     cycle_producing_sign,
     displacement,
+    displacements,
     estimate_lyapunov,
     find_cycles_local,
+    half_return,
     monodromic_family,
     pseudo_hopf_scan,
 )
+from filippov import flow
+from filippov.cycles import GRID_POINTS
 from filippov.errors import InputError, ScaleSeparationViolated, WrongSign
 from filippov.field import PiecewiseField, SmoothField
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
+
+
+# Acceptance census parameters: k -> (lambda, epsilon, |b|).
+CENSUS = {
+    2: ((-1.0, 1.0), 0.1, 1e-6),
+    3: ((-1.0, 1.0, 2.0, 3.0), 0.05, 1e-8),
+    4: ((-1.0, 1.0, 2.0, 3.0, 4.0, 5.0), 0.03, 1e-10),
+}
 
 
 # -- amplitude law ---------------------------------------------------------------
@@ -211,25 +223,63 @@ def test_census_base_order(cfg):
 ])
 def test_root_solve_spends_few_displacements(cfg, monkeypatch, k, lam, eps, b):
     # every census window holds one root; the grid is integrated in one
-    # batch, and solving the root and its finite-difference slope cost at
-    # most 8 scalar displacements
+    # batch, and solving the root, its finite-difference slope and its
+    # chord cost at most 8 displacements beyond the grid, scalar or batched
     params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
                              shift_convention="minus")
     _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
-    calls = []
+    scalar, batches = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        scalar.append(args)
         return displacement(*args, **kwargs)
 
+    def counted_batch(Z, xs, *args, **kwargs):
+        batches.append(len(xs))
+        return displacements(Z, xs, *args, **kwargs)
+
     monkeypatch.setattr("filippov.cycles.displacement", counted)
+    monkeypatch.setattr("filippov.cycles.displacements", counted_batch)
     for i in sorted(expected_invisible_indices(k)):
-        calls.clear()
+        scalar.clear()
+        batches.clear()
         found = find_cycles_local(Zb, eps * lam[i - 1], radius, b, cfg)
         assert len(found) == 1
-        assert 0 < len(calls) <= 8
+        assert batches[0] == GRID_POINTS
+        assert 0 < len(scalar) + sum(batches[1:]) <= 8
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_census_shares_one_grid_batch(cfg, monkeypatch, k):
+    # all windows' grid lanes ride in one upper and one lower batch (at
+    # least 12 lanes each; a root's probes take at most 3), and each
+    # cycle's chord end is the lower return its own window gives
+    lam, eps, mag = CENSUS[k]
+    Z = monodromic_family(k, 1.0)
+    data = classify_mts(Z)
+    good = cycle_producing_sign(data.delta, data.V2, "minus")
+    params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=good * mag,
+                             shift_convention="minus")
+    lanes = []
+    arcs = flow._arcs
+
+    def counted(field, starts, *args):
+        lanes.append(len(starts))
+        return arcs(field, starts, *args)
+
+    monkeypatch.setattr(flow, "_arcs", counted)
+    rep = cycle_census(Z, params, cfg)
+    assert sum(n >= 12 for n in lanes) == 2
+    assert rep.passed and len(rep.cycles) == k
+    _, Zb = unfolded_shifted(Z, params)
+    nodes = (0.0,) + lam
+    radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
+    for c in rep.cycles:
+        local = cfg.with_window(c.window_center - 2.5 * radius,
+                                c.window_center + 2.5 * radius)
+        assert c.x_left == half_return(Zb, "lower", c.x_star, local)
 
 
 def test_census_scale_separation_guard(cfg):

@@ -21,7 +21,7 @@ from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
 from filippov.flow import _interpolate, _Lanes, write_delta_csv
 from filippov.poly import Poly2
-from filippov.unfold import unfolded_shifted
+from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
 
 def rotation_like():
@@ -178,14 +178,16 @@ def test_lane_step_control_follows_scipy(sgn, first_step):
     assert np.max(np.abs(got[1] - ref[1])) <= 1e-5
 
 
-def _census_grid(k, lam, eps, b, window):
+def _census_grid(k, lam, eps, b, window, visible=False):
     params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
                              shift_convention="minus")
     _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
     center = 0.0 if window == 0 else eps * lam[window - 1]
-    xs = center + np.geomspace(abs(b) * (1.0 + 1e-3), radius, 50)
+    u_lo, n = ((max(abs(b) * 2.0, radius * 1e-3), 12) if visible
+               else (abs(b) * (1.0 + 1e-3), 50))
+    xs = center + np.geomspace(u_lo, radius, n)
     return Zb, xs, center, radius
 
 
@@ -195,24 +197,46 @@ def _outcome(sample):
     return (sample.x, sample.phi_plus, sample.phi_minus, sample.delta_value)
 
 
-@pytest.mark.parametrize("case", ["k2-window1", "k3-window1", "cross-coupled"])
+_CENSUS = {"k2": (2, (-1.0, 1.0), 0.1, -1e-6),
+           "k3": (3, (-1.0, 1.0, 2.0, 3.0), 0.05, -1e-8)}
+
+
+@pytest.mark.parametrize("case", ["k2-window1", "k3-window1", "cross-coupled",
+                                  "k3-all-windows"])
 def test_lanes_are_independent(cfg, case):
     # every sample is bit-identical integrated alone or in a batch of 50,
-    # failed samples included
-    if case == "cross-coupled":
-        Z, xs, center = cross_coupled_system(), np.geomspace(0.005, 0.2, 50), 0.0
-        local = cfg
+    # failed samples included; the census's five k = 3 grids, each bounded
+    # by its own window and oriented at its own center, share one batch
+    # exactly as each window's own batch
+    if case == "k3-all-windows":
+        k, lam, eps, b = _CENSUS["k3"]
+        invisible = expected_invisible_indices(k)
+        grids = [_census_grid(k, lam, eps, b, w, visible=w not in invisible)
+                 for w in range(2 * k - 1)]
+        Z = grids[0][0]
+        bounds = [(c - 2.5 * r, c + 2.5 * r) for _, _, c, r in grids]
+        batch = [_outcome(s) for s in displacements(
+            Z, np.concatenate([g[1] for g in grids]), cfg,
+            base_x=[c for _, xs, c, _ in grids for _ in xs],
+            windows=[w for (_, xs, _, _), w in zip(grids, bounds) for _ in xs])]
+        alone = [_outcome(s) for (_, xs, c, _), w in zip(grids, bounds)
+                 for s in displacements(Z, xs, cfg.with_window(*w), base_x=c)]
+        assert len(batch) == 3 * 50 + 2 * 12
     else:
-        k, lam, eps, b = {"k2-window1": (2, (-1.0, 1.0), 0.1, -1e-6),
-                          "k3-window1": (3, (-1.0, 1.0, 2.0, 3.0), 0.05, -1e-8)}[case]
-        Z, xs, center, radius = _census_grid(k, lam, eps, b, 1)
-        local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
-    batch = [_outcome(s) for s in displacements(Z, xs, local, base_x=center)]
-    alone = [_outcome(displacements(Z, [x], local, base_x=center)[0]) for x in xs]
+        if case == "cross-coupled":
+            Z, xs = cross_coupled_system(), np.geomspace(0.005, 0.2, 50)
+            center, local = 0.0, cfg
+        else:
+            Z, xs, center, radius = _census_grid(*_CENSUS[case[:2]], 1)
+            local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
+        batch = [_outcome(s) for s in displacements(Z, xs, local, base_x=center)]
+        alone = [_outcome(displacements(Z, [x], local, base_x=center)[0])
+                 for x in xs]
     assert batch == alone
     assert sum(isinstance(s, tuple) for s in batch) >= 36
-    if case == "k3-window1":
-        assert batch.count("NotInWindow") == 14
+    not_in_window = {"k3-window1": 14, "k3-all-windows": 66}
+    if case in not_in_window:
+        assert batch.count("NotInWindow") == not_in_window[case]
 
 
 def test_failed_lanes_are_isolated(cfg):
