@@ -2,9 +2,11 @@
 
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
-brackets candidate roots, Brent's method solves them, and a central-difference
-derivative decides hyperbolicity and stability (a first-return contraction,
-i.e. negative derivative, is stable).  Every accepted cycle must enclose
+brackets candidate roots, Chandrupatla's method
+(``scipy.optimize.elementwise.find_root``) solves the brackets of all
+windows in lockstep, and a central-difference derivative decides
+hyperbolicity and stability (a first-return contraction, i.e. negative
+derivative, is stable).  Every accepted cycle must enclose
 exactly one sliding segment strictly inside its chord on the line.
 """
 
@@ -26,7 +28,6 @@ from .errors import (
 from .field import PiecewiseField, SigmaSegment, classify_mts, sigma_regions
 from .flow import (
     IntegratorConfig,
-    displacement,
     displacements,
     estimate_lyapunov,
 )
@@ -158,22 +159,18 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     """Crossing cycles whose right chord endpoint lies in the local window.
 
     Scans the displacement on a geometric grid of offsets
-    ``(|b|*(1+1e-3), radius)`` from the window center, brackets sign
-    changes, solves them by Brent's method to residual ``1e-12`` (a memo
-    seeded with the grid samples computes each displacement once), then
-    integrates the root's two slope probes (and the root, if not yet in
-    the memo) as one batch for the hyperbolicity check and the chord's
-    left end, and checks sliding-segment enclosure.  Non-hyperbolic
-    roots and windows where the displacement never leaves the noise floor
-    ("center") are reported through ``diagnostics``, not returned.  The
-    census runs the same search on its windows' shared grid batch.
+    ``(|b|*(1+1e-3), radius)`` from the window center, solves each sign
+    change to residual ``1e-12``, takes the slope from two probes and the
+    chord's left end from the root's lower arc, and checks sliding-segment
+    enclosure.  Non-hyperbolic roots, failed root solves and windows where
+    the displacement never leaves the noise floor ("center") are reported
+    through ``diagnostics``, not returned.
     """
-    if diagnostics is None:
-        diagnostics = []
-    u_lo = _inner_offset(b, radius)
-    (window,) = _sample_windows(
-        Z_b, [(window_center, radius, u_lo, GRID_POINTS)], cfg)
-    return _refine_window(Z_b, window, b, cfg, diagnostics)
+    windows = _sample_windows(
+        [(Z_b, b, window_center, radius, _inner_offset(b, radius), GRID_POINTS)],
+        cfg)
+    return _refine_windows(windows, cfg, [] if diagnostics is None
+                           else diagnostics)[0]
 
 
 def _inner_offset(b: float, radius: float) -> float:
@@ -186,92 +183,118 @@ def _inner_offset(b: float, radius: float) -> float:
     return u_lo
 
 
-def _refine_window(Z_b, window, b, cfg, diagnostics) -> list:
-    """:func:`find_cycles_local` on one window sampled by
-    :func:`_sample_windows`."""
-    window_center, radius, grid, samples, cfg_local = window
-    values = _values(window, diagnostics)
-    memo = {float(x): s for x, s in zip(grid, samples)}
-
-    def sample_at(x):
-        if x not in memo:
-            memo[x] = displacement(Z_b, x, cfg_local, base_x=window_center)
-        if isinstance(memo[x], FilippovError):
-            raise memo[x]
-        return memo[x]
-
-    def settled(x):
-        # brentq stops at an exact zero: treat the residual target as one
-        v = sample_at(x).delta_value
-        return 0.0 if abs(v) < ROOT_RESIDUAL_TOL else v
-
-    valid = [v for v in values if v is not None]
-    if not valid:
-        diagnostics.append(
-            f"window {window_center:+.6g}: no displacement sample succeeded")
-        return []
-    if max(abs(v) for v in valid) < 10.0 * cfg.event_tol:
-        diagnostics.append(
-            f"window {window_center:+.6g}: displacement below noise (center)")
-        return []
-
-    from scipy.optimize import brentq
-    cycles = []
-    for i in range(len(grid) - 1):
-        v0, v1 = values[i], values[i + 1]
-        if v0 is None or v1 is None:
+def _refine_windows(windows, cfg, diagnostics) -> list:
+    """:func:`find_cycles_local` on windows from :func:`_sample_windows`,
+    all brackets in one lockstep root solve and all slope probes in one
+    batch: the cycles per window, diagnostics appended in window order."""
+    plans = [[] for _ in windows]  # per window: diagnostics and bracket ids
+    brackets = []  # (window index, lo, hi)
+    for w, (window, plan) in enumerate(zip(windows, plans)):
+        values = _values(window, plan)
+        valid = [abs(v) for v in values if v is not None]
+        if not valid or max(valid) < 10.0 * cfg.event_tol:
+            plan.append(f"window {window.center:+.6g}: " + (
+                "displacement below noise (center)" if valid
+                else "no displacement sample succeeded"))
+            continue
+        grid = window.grid.tolist()
+        for i, (v0, v1) in enumerate(zip(values, values[1:])):
             if (v0 is None) != (v1 is None):
+                plan.append(f"window {window.center:+.6g}: bracket ({grid[i]:.9g}, "
+                            f"{grid[i + 1]:.9g}) skipped next to a failed sample")
+            elif v0 is not None and v0 != 0.0 and (v0 < 0) != (v1 < 0):
+                plan.append(len(brackets))
+                brackets.append((w, grid[i], grid[i + 1]))
+
+    memo = {(w, x): s for w, window in enumerate(windows)
+            for x, s in zip(window.grid.tolist(), window.samples)}
+    roots = _solve_brackets(windows, brackets, memo, cfg)
+    _fill(windows, [(w, x) for (w, _, _), x_star in zip(brackets, roots)
+                    if not isinstance(x_star, FilippovError)
+                    for x in (x_star + 1e-6 * windows[w].radius,
+                              x_star - 1e-6 * windows[w].radius, x_star)],
+          memo, cfg)
+    found = [[] for _ in windows]
+    for w, (window, plan, cycles) in enumerate(zip(windows, plans, found)):
+        for item in plan:
+            if isinstance(item, str):
+                diagnostics.append(item)
+            elif isinstance(roots[item], FilippovError):
+                _, lo, hi = brackets[item]
                 diagnostics.append(
-                    f"window {window_center:+.6g}: bracket ({grid[i]:.9g}, "
-                    f"{grid[i + 1]:.9g}) skipped next to a failed sample")
-            continue
-        if v0 == 0.0 or (v0 < 0) == (v1 < 0):
-            continue
-        x_star = brentq(settled, float(grid[i]), float(grid[i + 1]),
-                        xtol=BRENT_TOL, rtol=BRENT_TOL)
-        if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
-            continue
-        step = 1e-6 * radius
-        probes = [x for x in (x_star + step, x_star - step, x_star)
-                  if x not in memo]
-        memo.update(zip(probes, displacements(Z_b, probes, cfg_local,
-                                              base_x=window_center)))
-        try:
-            deriv = (sample_at(x_star + step).delta_value
-                     - sample_at(x_star - step).delta_value) / (2 * step)
-        except FilippovError as exc:
-            diagnostics.append(
-                f"derivative estimate failed at x={x_star:.9g}: {exc}")
-            continue
-        if abs(deriv) <= HYPERBOLICITY_TOL:
-            diagnostics.append(
-                f"non-hyperbolic root at x={x_star:.9g}: |delta'|={abs(deriv):.3e}")
-            continue
-        stability = "stable" if deriv < 0 else "unstable"
-        root = sample_at(x_star)
-        x_left = root.phi_minus
-        pad = 1e-9 * radius
-        sliding = [
-            seg for seg in sigma_regions(Z_b, (x_left, x_star))
-            if seg.kind != "crossing"
-            and seg.interval[0] > x_left + pad
-            and seg.interval[1] < x_star - pad
-        ]
-        enclosed = sliding[0] if len(sliding) == 1 else None
-        if enclosed is None:
-            diagnostics.append(
-                f"cycle at x={x_star:.9g} encloses {len(sliding)} sliding "
-                "segments, expected exactly one")
-        cycles.append(LimitCycle(
-            x_star=x_star, b=b, window_center=window_center,
-            amplitude=x_star - window_center, stability=stability,
-            derivative=deriv, enclosed_segment=enclosed, x_left=x_left))
-        residual = abs(root.delta_value)
-        if residual > 10 * ROOT_RESIDUAL_TOL:
-            diagnostics.append(
-                f"root residual {residual:.3e} above target at "
-                f"x={x_star:.9g}")
-    return cycles
+                    f"window {window.center:+.6g}: root solve in bracket ({lo:.9g}, "
+                    f"{hi:.9g}) failed: {type(roots[item]).__name__}: {roots[item]}")
+            else:
+                _add_cycle(window, roots[item], lambda x: memo[w, x], cycles,
+                           diagnostics)
+    return found
+
+
+def _solve_brackets(windows, brackets, memo, cfg) -> list:
+    """Root, or the error that ended its solve, of every bracket ``(window
+    index, lo, hi)``, all by one lockstep ``find_root`` whose iterations
+    each integrate their new abscissae as one batch (see :func:`_fill`)."""
+    from scipy.optimize.elementwise import find_root
+    errors: dict = {}
+
+    def residual(xs, ids):
+        points = [(k, brackets[k][0], x) for k, x in zip(ids.tolist(), xs.tolist())]
+        _fill(windows, [(w, x) for k, w, x in points if k not in errors], memo, cfg)
+        for k, w, x in points:
+            if isinstance(memo.get((w, x)), FilippovError):
+                errors.setdefault(k, memo[w, x])
+        return np.array([math.nan if k in errors else memo[w, x].delta_value
+                         for k, w, x in points])
+
+    res = find_root(residual, tuple(np.reshape(brackets, (-1, 3))[:, 1:].T),
+                    args=(np.arange(len(brackets)),), tolerances=dict(
+                        xrtol=BRENT_TOL, fatol=ROOT_RESIDUAL_TOL, frtol=0.0))
+    return [errors.get(k, x if ok else FilippovError(f"find_root status {st}"))
+            for k, (x, ok, st) in enumerate(zip(
+                res.x.tolist(), res.success.tolist(), res.status.tolist()))]
+
+
+def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:
+    """Append the cycle at the root ``x_star`` of ``window`` unless it repeats
+    the last one or fails a check; ``sample(x)`` gives the known samples."""
+    Z_b, b, window_center, radius = window[:4]
+    if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
+        return
+    step = 1e-6 * radius
+    ahead, behind = sample(x_star + step), sample(x_star - step)
+    failed = [s for s in (ahead, behind) if isinstance(s, FilippovError)]
+    if failed:
+        diagnostics.append(
+            f"derivative estimate failed at x={x_star:.9g}: {failed[0]}")
+        return
+    deriv = (ahead.delta_value - behind.delta_value) / (2 * step)
+    if abs(deriv) <= HYPERBOLICITY_TOL:
+        diagnostics.append(
+            f"non-hyperbolic root at x={x_star:.9g}: |delta'|={abs(deriv):.3e}")
+        return
+    root = sample(x_star)
+    x_left = root.phi_minus
+    pad = 1e-9 * radius
+    sliding = [
+        seg for seg in sigma_regions(Z_b, (x_left, x_star))
+        if seg.kind != "crossing"
+        and seg.interval[0] > x_left + pad
+        and seg.interval[1] < x_star - pad
+    ]
+    enclosed = sliding[0] if len(sliding) == 1 else None
+    if enclosed is None:
+        diagnostics.append(
+            f"cycle at x={x_star:.9g} encloses {len(sliding)} sliding "
+            "segments, expected exactly one")
+    cycles.append(LimitCycle(
+        x_star=x_star, b=b, window_center=window_center,
+        amplitude=x_star - window_center,
+        stability="stable" if deriv < 0 else "unstable",
+        derivative=deriv, enclosed_segment=enclosed, x_left=x_left))
+    residual = abs(root.delta_value)
+    if residual > 10 * ROOT_RESIDUAL_TOL:
+        diagnostics.append(
+            f"root residual {residual:.3e} above target at x={x_star:.9g}")
 
 
 def _pairwise_disjoint(cycles) -> bool:
@@ -325,21 +348,20 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                 f"predicted amplitude {predicted:.3e} exceeds half the "
                 f"window radius {radius:.3e}; reduce |b|")
 
-    # every window's grid in one batch; then each window in turn, so that
-    # its diagnostics keep their place
+    # every window's grid in one batch, the invisible windows' roots in lockstep
     centers = [0.0] + [params.epsilon * float(a) for a in params.lam]
     invisible = sorted(expected_invisible_indices(k))
     visible = sorted(set(range(2 * k - 1)) - set(invisible))
     u_lo = _inner_offset(b, radius)
     coarse = max(abs(b) * 2.0, radius * 1e-3)
     windows = _sample_windows(
-        Zb, [(centers[i], radius, u_lo, GRID_POINTS) for i in invisible]
-        + [(centers[i], radius, coarse, VISIBLE_POINTS) for i in visible], cfg)
+        [(Zb, b, centers[i], radius, u_lo, GRID_POINTS) for i in invisible]
+        + [(Zb, b, centers[i], radius, coarse, VISIBLE_POINTS) for i in visible],
+        cfg)
 
     diagnostics: list = []
-    cycles: list = []
-    for window in windows[:len(invisible)]:
-        cycles.extend(_refine_window(Zb, window, b, cfg, diagnostics))
+    cycles = [c for found in _refine_windows(windows[:len(invisible)], cfg,
+                                             diagnostics) for c in found]
     visible_hit = False
     for window in windows[len(invisible):]:
         visible_hit |= _sign_changes(window, cfg, diagnostics)
@@ -359,9 +381,11 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
 
 
 class _Window(NamedTuple):
-    """A window's grid, its samples (each a :class:`ReturnSample` or a
-    :class:`FilippovError`) and its config, windowed to ``center +- 2.5 r``."""
+    """A window of the field ``Z`` shifted by ``b``: its grid, its samples
+    (each a :class:`ReturnSample` or a :class:`FilippovError`) and config."""
 
+    Z: PiecewiseField
+    b: float
     center: float
     radius: float
     grid: np.ndarray
@@ -369,22 +393,31 @@ class _Window(NamedTuple):
     cfg: IntegratorConfig
 
 
-def _sample_windows(Z_b, specs, cfg) -> list:
+def _sample_windows(specs, cfg) -> list:
     """Displacement on the grid ``center + geomspace(u_lo, radius, n)`` of
-    every window ``(center, radius, u_lo, n)`` in ``specs``, as one batch:
-    each sample bounded and oriented by its own window, as in that
-    window's own batch.  One :class:`_Window` per spec, in order."""
-    grids = [center + np.geomspace(u_lo, radius, n)
-             for center, radius, u_lo, n in specs]
-    local = [cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
-             for center, radius, _, _ in specs]
-    samples = iter(displacements(
-        Z_b, np.concatenate(grids), cfg,
-        base_x=[spec[0] for spec in specs for _ in range(spec[3])],
-        windows=[c.window for c, spec in zip(local, specs)
-                 for _ in range(spec[3])]))
-    return [_Window(center, radius, grid, [next(samples) for _ in grid], c)
-            for (center, radius, _, _), grid, c in zip(specs, grids, local)]
+    every window ``(Z, b, center, radius, u_lo, n)`` in ``specs``, as one
+    batch (see :func:`_fill`).  One :class:`_Window` per spec, in order."""
+    windows = [_Window(Z, b, center, radius,
+                       center + np.geomspace(u_lo, radius, n), [],
+                       cfg.with_window(center - 2.5 * radius,
+                                       center + 2.5 * radius))
+               for Z, b, center, radius, u_lo, n in specs]
+    memo: dict = {}
+    points = [[(w, x) for x in window.grid.tolist()]
+              for w, window in enumerate(windows)]
+    _fill(windows, [p for grid in points for p in grid], memo, cfg)
+    return [window._replace(samples=[memo[p] for p in grid])
+            for window, grid in zip(windows, points)]
+
+
+def _fill(windows, points, memo: dict, cfg) -> None:
+    """Add to ``memo`` the displacements at the ``(window index, x)`` points
+    it lacks, as one batch, each with its window's field, base and bound."""
+    todo = [p for p in dict.fromkeys(points) if p not in memo]
+    at = [windows[w] for w, _ in todo]
+    memo.update(zip(todo, displacements(
+        [w.Z for w in at], [x for _, x in todo], cfg,
+        base_x=[w.center for w in at], windows=[w.cfg.window for w in at])))
 
 
 def _values(window: _Window, diagnostics: list) -> list:
@@ -443,11 +476,12 @@ def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,
             prediction = PseudoHopfPrediction.from_coefficient(
                 data.delta, est.coefficient, ell=est.order // 2)
 
+    windows = _sample_windows(
+        [(apply_shift(Z, b, convention), b, 0.0, window_radius,
+          _inner_offset(b, window_radius), GRID_POINTS)
+         for b in sorted(float(v) for v in b_values)], cfg)
     rows = []
-    for b in sorted(float(v) for v in b_values):
-        Zb = apply_shift(Z, b, convention)
-        diagnostics: list = []
-        cycles = find_cycles_local(Zb, 0.0, window_radius, b, cfg, diagnostics)
+    for (Zb, b, *_), cycles in zip(windows, _refine_windows(windows, cfg, [])):
         kind = _split_pair_kind(Zb, b)
         predicted = None
         if prediction is not None and b != 0 and prediction.mu * b > 0:

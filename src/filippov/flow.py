@@ -1,21 +1,24 @@
 """Event-driven numerical integration across the switching line.
 
 Orbit arcs are integrated in lanes: one lane per start point, each with its
-own direction and its own window bound, all advanced together by one
+own smooth field, direction and window bound, all advanced together by one
 vectorised DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, sections
-II.5-6), so that the grids of several windows share each round of stage
-evaluations; the right-hand side comes from a power table compiled once
-per batch.  Step control is per lane and follows ``scipy.integrate.DOP853``;
-there are no chunks and no restarts.  The dense output of every accepted step is scanned on a refined
-mesh for sign changes of ``y``, a crossing is solved on that lane's
-interpolant by Brent's method, and a lane stops at its first accepted
-crossing.  A departure guard keeps the event search from re-triggering on
-the start point, which lies exactly on the line: crossings are only accepted
-once the orbit has either reached height ``guard_height`` or run for longer
-than ``guard_time``.
+II.5-6), so that both sides of a displacement sample, the grids of several
+windows and several shifted fields share each round of stage evaluations.
+Step control is per lane and follows ``scipy.integrate.DOP853``; there are
+no chunks and no restarts.  The dense output of every accepted step is
+scanned on a refined mesh for sign changes of ``y``, a crossing is solved
+on that lane's interpolant by Brent's method, and a lane stops at its first
+accepted crossing.  A departure guard keeps the event search from
+re-triggering on the start point, which lies exactly on the line: crossings
+are only accepted once the orbit has either reached height ``guard_height``
+or run for longer than ``guard_time``.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
-order, so a lane's result is bit-identical alone or in a batch.
+order, and the right-hand side gives each lane a column of coefficients
+over the batch's monomials, summed in exponent order from a power table (a
+monomial the lane's field lacks adds an exact zero), so a lane's result is
+bit-identical alone or in any batch.
 """
 
 from __future__ import annotations
@@ -172,22 +175,32 @@ def _interpolate1(coeffs, y_old: float, theta: float) -> float:
 
 
 class _Lanes:
-    """Independent DOP853 integrations of one smooth field, one per lane.
+    """Independent DOP853 integrations, one per lane, each of its own field.
 
     Per-lane arrays: states ``y`` and derivatives ``f`` of shape (2, n);
     time ``t``, next step size ``h`` and the rejected-since-last-acceptance
     flag of shape (n,).  Time runs forward in every lane; ``sgn`` = -1
-    reverses the field for a lane integrated backward.
+    reverses the field for a lane integrated backward.  Lane ``n`` follows
+    ``fields[col[n]]``, the batch's fields being distinct by identity.
     """
 
-    def __init__(self, field: SmoothField, y0, sgn, rtol: float, atol: float):
+    def __init__(self, fields, y0, sgn, rtol: float, atol: float):
         self.sgn = np.asarray(sgn, dtype=float)
         self.rtol, self.atol = rtol, atol
-        # (coefficient, i, j) per term of X and of Y, in Poly2.eval's order
-        self.terms = tuple(tuple((float(c), i, j) for (i, j), c in p.terms.items())
-                           for p in (field.X, field.Y))
-        self.x_powers = sorted({i for t in self.terms for _, i, _ in t if i})
-        self.y_powers = sorted({j for t in self.terms for _, _, j in t if j})
+        ids: dict = {}
+        self.col = np.array([ids.setdefault(id(f), len(ids)) for f in fields])
+        self.fields = list({id(f): f for f in fields}.values())
+        # per component: the sorted exponent pairs and their (terms, n) coefficients
+        self.terms, self.coeffs = [], []
+        for polys in ([f.X.terms for f in self.fields],
+                      [f.Y.terms for f in self.fields]):
+            keys = sorted(set().union(*polys))
+            table = np.array([[float(p.get(key, 0.0)) for p in polys]
+                              for key in keys]).reshape(len(keys), len(polys))
+            self.terms.append(keys)
+            self.coeffs.append(table[:, self.col])
+        self.x_powers = sorted({i for keys in self.terms for i, _ in keys if i})
+        self.y_powers = sorted({j for keys in self.terms for _, j in keys if j})
         self.y = np.array(y0, dtype=float)
         self.f = self.rhs(self.y)
         self.t = np.zeros(self.y.shape[1])
@@ -198,15 +211,15 @@ class _Lanes:
     def rhs(self, s):
         """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0.
 
-        Bit-identical to :meth:`Poly2.eval`: the same terms summed from zero
-        as ``(c * x**i) * y**j``, with the powers taken once from a shared
-        table and exponent-0 factors (exact ones) skipped."""
+        Every lane sums its terms from zero as ``(c * x**i) * y**j``, as
+        :meth:`Poly2.eval` does but in exponent order, with the powers taken
+        once from a shared table and exponent-0 factors (exact ones) skipped."""
         x, y = s
         px = {i: x ** i for i in self.x_powers}
         py = {j: y ** j for j in self.y_powers}
         out = np.zeros_like(s)
-        for row, terms in zip(out, self.terms):
-            for c, i, j in terms:
+        for row, keys, coeffs in zip(out, self.terms, self.coeffs):
+            for (i, j), c in zip(keys, coeffs):
                 v = c * px[i] if i else c
                 row += v * py[j] if j else v
         out *= self.sgn
@@ -281,16 +294,17 @@ class _Lanes:
         """Drop the lanes outside ``mask``."""
         self.sgn, self.t, self.h = self.sgn[mask], self.t[mask], self.h[mask]
         self.y, self.f = self.y[:, mask], self.f[:, mask]
-        self.rejected = self.rejected[mask]
+        self.rejected, self.col = self.rejected[mask], self.col[mask]
+        self.coeffs = [c[:, mask] for c in self.coeffs]
 
 
-def _arcs(field: SmoothField, starts, signs, windows,
-          cfg: IntegratorConfig) -> list:
+def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig) -> list:
     """Integrate one orbit arc per start until it returns to ``y = 0``.
 
-    ``signs`` holds +1 for a lane integrated along the field, -1 against
-    it; ``windows`` holds each lane's ``(lo, hi)`` abscissa bound, or None
-    for an unbounded lane.  Returns, per lane, ``(x_return, trajectory)`` or the
+    ``fields`` holds each lane's :class:`SmoothField`; ``signs`` holds +1
+    for a lane integrated along its field, -1 against it; ``windows`` holds
+    each lane's ``(lo, hi)`` abscissa bound, or None for an unbounded lane.
+    Returns, per lane, ``(x_return, trajectory)`` or the
     :class:`FilippovError` that ended the lane; trajectories are ``(n, 2)``
     arrays of ``(x, y)`` states ending at the located crossing.
     """
@@ -300,9 +314,9 @@ def _arcs(field: SmoothField, starts, signs, windows,
         return out
     from scipy.optimize import brentq
     with np.errstate(all="ignore"):
-        lanes = _Lanes(field, np.array(starts, dtype=float).T, signs,
+        lanes = _Lanes(fields, np.array(starts, dtype=float).T, signs,
                        cfg.rel_tol, cfg.abs_tol)
-        cap, span = _start_cap(field, lanes.y, cfg)
+        cap, span = _start_cap(lanes, cfg)
         lanes.select_initial_step(span, cap)
 
         ids = np.arange(n)
@@ -354,8 +368,8 @@ def _arcs(field: SmoothField, starts, signs, windows,
     return out
 
 
-def _start_cap(field: SmoothField, y, cfg: IntegratorConfig):
-    """Step cap near each start and the time span it holds for.
+def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
+    """Step cap near each lane's start and the time span it holds for.
 
     Starts close to a tangency produce arcs far shorter than the default
     step; without a commensurate step cap the dip back through y = 0 can
@@ -363,12 +377,16 @@ def _start_cap(field: SmoothField, y, cfg: IntegratorConfig):
     vertical time scale |dy/dt| / |d2y/dt2| at the start sets the cap
     (direction-independent, sgn^2 = 1).
     """
-    x, y = y
-    vy0 = np.zeros(len(x)) + field.Y.eval(x, y)
-    acc = (np.zeros(len(x)) + field.Y.partial("x").eval(x, y) * field.X.eval(x, y)
-           + field.Y.partial("y").eval(x, y) * vy0)
-    t_scale = np.where((vy0 != 0) & (acc != 0), np.abs(vy0) / np.abs(acc),
-                       math.inf)
+    t_scale = np.empty(lanes.y.shape[1])
+    for n, field in enumerate(lanes.fields):
+        at = lanes.col == n
+        x, y = lanes.y[:, at]
+        vy0 = np.zeros(len(x)) + field.Y.eval(x, y)
+        acc = (np.zeros(len(x))
+               + field.Y.partial("x").eval(x, y) * field.X.eval(x, y)
+               + field.Y.partial("y").eval(x, y) * vy0)
+        t_scale[at] = np.where((vy0 != 0) & (acc != 0),
+                               np.abs(vy0) / np.abs(acc), math.inf)
     tangent = np.isfinite(t_scale)
     cap = np.where(tangent, np.minimum(cfg.max_step, np.maximum(
         t_scale / 2.0, cfg.guard_time / 4.0)), cfg.max_step)
@@ -432,28 +450,31 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
         raise InputError(f"unknown direction {direction!r}")
     sgn = 1.0 if direction == "forward" else -1.0
     start = (float(start[0]), float(start[1]))
-    return _one(_arcs(field, [start], [sgn], [cfg.window], cfg)[0])
+    return _one(_arcs([field], [start], [sgn], [cfg.window], cfg)[0])
 
 
-def _half_arcs(Z: PiecewiseField, side: str, xs, windows,
-               cfg: IntegratorConfig) -> list:
-    """:func:`half_arc` per abscissa, as one batch of lanes bounded by
-    ``windows``; a result or an error per abscissa."""
-    field = Z.side(side)
-    out: list = [None] * len(xs)
-    lanes, signs = [], []
-    for n, x in enumerate(xs):
+def _half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
+    """:func:`half_arc` (or, with ``returns``, :func:`half_return`) per lane
+    ``(field, sigma, x, window)``: the arc of the smooth field through
+    ``(x, 0)`` into side ``sigma``'s half-plane, bounded by ``window``, all
+    in one batch; a result or an error per lane."""
+    out: list = [None] * len(lanes)
+    moving, signs = [], []
+    for n, (field, sigma, x, _) in enumerate(lanes):
         y0 = float(field.Y.eval(x, 0.0))
-        if y0 == 0.0:
+        if y0 != 0.0:
+            moving.append(n)
+            signs.append(1.0 if sigma * y0 > 0.0 else -1.0)
+        elif returns and x == 0.0:
+            out[n] = 0.0
+        else:
             out[n] = InputError(
                 f"({x}, 0) is a tangency point; the half-return map is undefined")
-        else:
-            lanes.append(n)
-            signs.append(1.0 if SIGMA[side] * y0 > 0.0 else -1.0)
-    arcs = _arcs(field, [(float(xs[n]), 0.0) for n in lanes], signs,
-                 [windows[n] for n in lanes], cfg)
-    for n, arc in zip(lanes, arcs):
-        out[n] = arc
+    go = [lanes[n] for n in moving]
+    arcs = _arcs([f for f, _, _, _ in go], [(float(x), 0.0) for _, _, x, _ in go],
+                 signs, [w for _, _, _, w in go], cfg)
+    for n, arc in zip(moving, arcs):
+        out[n] = arc[0] if returns and not isinstance(arc, FilippovError) else arc
     return out
 
 
@@ -465,21 +486,7 @@ def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
     Returns ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
     tangency start raises :class:`InputError`.
     """
-    return _one(_half_arcs(Z, side, [x], [cfg.window], cfg)[0])
-
-
-def _half_returns(Z: PiecewiseField, side: str, xs, windows,
-                  cfg: IntegratorConfig) -> list:
-    """:func:`half_return` per abscissa: a value or an error each."""
-    Y = Z.side(side).Y
-    moving = [n for n, x in enumerate(xs)
-              if not (x == 0.0 and float(Y.eval(x, 0.0)) == 0.0)]
-    out: list = [0.0] * len(xs)
-    arcs = _half_arcs(Z, side, [xs[n] for n in moving],
-                      [windows[n] for n in moving], cfg)
-    for n, arc in zip(moving, arcs):
-        out[n] = arc if isinstance(arc, FilippovError) else arc[0]
-    return out
+    return _one(_half_arcs([(Z.side(side), SIGMA[side], x, cfg.window)], cfg)[0])
 
 
 def half_return(Z: PiecewiseField, side: str, x: float,
@@ -489,41 +496,39 @@ def half_return(Z: PiecewiseField, side: str, x: float,
     By continuity the map fixes the singularity itself, so ``x = 0`` with a
     vanishing vertical component returns 0; elsewhere see :func:`half_arc`.
     """
-    return _one(_half_returns(Z, side, [x], [cfg.window], cfg)[0])
+    return _one(_half_arcs([(Z.side(side), SIGMA[side], x, cfg.window)], cfg,
+                           returns=True)[0])
 
 
-def displacements(Z: PiecewiseField, xs, cfg: IntegratorConfig,
-                  base_x=0.0, windows=None) -> list:
+def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,
+                  windows=None) -> list:
     """:func:`displacement` at every abscissa of ``xs``, integrated as lanes.
 
-    ``base_x`` (orientation base) and ``windows`` (arc bound, in place of
-    ``cfg.window``) may be given per sample, so that several windows share
-    one batch.  Returns one :class:`ReturnSample` or one
-    :class:`FilippovError` per abscissa, in order.  Upper arcs run first; a
-    lower arc is integrated only where the upper arc returned.
+    ``Z``, ``base_x`` (orientation base) and ``windows`` (arc bound, in
+    place of ``cfg.window``) may each be given per sample, so that several
+    windows and fields share one batch.  Returns one :class:`ReturnSample`
+    or one :class:`FilippovError` per abscissa, in order.  Both arcs of a
+    sample run in the same batch; when both fail, the upper arc's error is
+    the one reported.
     """
     xs = [float(x) for x in xs]
+    fields = [Z] * len(xs) if isinstance(Z, PiecewiseField) else list(Z)
     bases = ([float(base_x)] * len(xs) if np.ndim(base_x) == 0
              else [float(x) for x in base_x])
     if windows is None:
         windows = [cfg.window] * len(xs)
-    xu = {base: float(Z.upper.X.eval(base, 0.0)) for base in set(bases)}
-    out: list = [None if xu[base] != 0.0 else InputError(
-        f"upper horizontal component vanishes at base {base}") for base in bases]
+    orient = [float(Zn.upper.X.eval(base, 0.0)) for Zn, base in zip(fields, bases)]
+    out: list = [None if u != 0.0 else InputError(
+        f"upper horizontal component vanishes at base {base}")
+        for u, base in zip(orient, bases)]
     pending = [n for n, s in enumerate(out) if s is None]
-    upper = _half_returns(Z, "upper", [xs[n] for n in pending],
-                          [windows[n] for n in pending], cfg)
-    returned = []
-    for n, pp in zip(pending, upper):
-        if isinstance(pp, FilippovError):
-            out[n] = pp
-        else:
-            returned.append((n, pp))
-    lower = _half_returns(Z, "lower", [xs[n] for n, _ in returned],
-                          [windows[n] for n, _ in returned], cfg)
-    for (n, pp), pm in zip(returned, lower):
-        delta = 1.0 if xu[bases[n]] > 0 else -1.0
-        out[n] = pm if isinstance(pm, FilippovError) else ReturnSample(
+    returns = _half_arcs([(field, sigma, xs[n], windows[n]) for n in pending
+                          for _, sigma, field in fields[n].sides()],  # upper, lower
+                         cfg, returns=True)
+    for n, pp, pm in zip(pending, returns[::2], returns[1::2]):
+        failed = [r for r in (pp, pm) if isinstance(r, FilippovError)]
+        delta = 1.0 if orient[n] > 0 else -1.0
+        out[n] = failed[0] if failed else ReturnSample(
             x=xs[n], phi_plus=pp, phi_minus=pm, delta_value=delta * (pp - pm))
     return out
 

@@ -29,8 +29,8 @@ DEGREE_CAP = 64
 # Float coefficients below this are treated as rounding debris and dropped.
 DROP_TOL = 1e-14
 
-# Brent's tightest tolerance; every scalar root in the package is solved by
-# ``scipy.optimize.brentq`` with it as both ``xtol`` and ``rtol``.
+# Four ulps: the ``xtol``/``rtol`` of every ``brentq`` root (polynomial roots,
+# arc crossings) and the ``xrtol`` of the cycles' lockstep ``find_root``.
 BRENT_TOL = 4 * sys.float_info.epsilon
 
 

@@ -20,8 +20,13 @@ from filippov import (
     pseudo_hopf_scan,
 )
 from filippov import flow
-from filippov.cycles import GRID_POINTS
-from filippov.errors import InputError, ScaleSeparationViolated, WrongSign
+from filippov.cycles import GRID_POINTS, VISIBLE_POINTS
+from filippov.errors import (
+    InputError,
+    ScaleSeparationViolated,
+    StepFailure,
+    WrongSign,
+)
 from filippov.field import PiecewiseField, SmoothField
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
@@ -224,54 +229,51 @@ def test_census_base_order(cfg):
 def test_root_solve_spends_few_displacements(cfg, monkeypatch, k, lam, eps, b):
     # every census window holds one root; the grid is integrated in one
     # batch, and solving the root, its finite-difference slope and its
-    # chord cost at most 8 displacements beyond the grid, scalar or batched
+    # chord cost at most 8 displacements beyond the grid
     params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
                              shift_convention="minus")
     _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
-    scalar, batches = [], []
-
-    def counted(*args, **kwargs):
-        scalar.append(args)
-        return displacement(*args, **kwargs)
+    batches = []
 
     def counted_batch(Z, xs, *args, **kwargs):
         batches.append(len(xs))
         return displacements(Z, xs, *args, **kwargs)
 
-    monkeypatch.setattr("filippov.cycles.displacement", counted)
     monkeypatch.setattr("filippov.cycles.displacements", counted_batch)
     for i in sorted(expected_invisible_indices(k)):
-        scalar.clear()
         batches.clear()
         found = find_cycles_local(Zb, eps * lam[i - 1], radius, b, cfg)
         assert len(found) == 1
         assert batches[0] == GRID_POINTS
-        assert 0 < len(scalar) + sum(batches[1:]) <= 8
+        assert 0 < sum(batches[1:]) <= 8
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_census_shares_one_grid_batch(cfg, monkeypatch, k):
-    # all windows' grid lanes ride in one upper and one lower batch (at
-    # least 12 lanes each; a root's probes take at most 3), and each
-    # cycle's chord end is the lower return its own window gives
+    # all windows' grid lanes, both sides of every sample, ride in one
+    # batch, and each cycle's chord end is the lower return its own window
+    # gives
     lam, eps, mag = CENSUS[k]
     Z = monodromic_family(k, 1.0)
     data = classify_mts(Z)
     good = cycle_producing_sign(data.delta, data.V2, "minus")
     params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=good * mag,
                              shift_convention="minus")
-    lanes = []
+    batches = []
     arcs = flow._arcs
 
-    def counted(field, starts, *args):
-        lanes.append(len(starts))
-        return arcs(field, starts, *args)
+    def counted(fields, *args):
+        batches.append(fields)
+        return arcs(fields, *args)
 
     monkeypatch.setattr(flow, "_arcs", counted)
     rep = cycle_census(Z, params, cfg)
-    assert sum(n >= 12 for n in lanes) == 2
+    big = [fields for fields in batches if len(fields) >= GRID_POINTS]
+    assert len(big) == 1
+    assert len(big[0]) == 2 * (k * GRID_POINTS + (k - 1) * VISIBLE_POINTS)
+    assert len({id(f) for f in big[0]}) == 2
     assert rep.passed and len(rep.cycles) == k
     _, Zb = unfolded_shifted(Z, params)
     nodes = (0.0,) + lam
@@ -280,6 +282,93 @@ def test_census_shares_one_grid_batch(cfg, monkeypatch, k):
         local = cfg.with_window(c.window_center - 2.5 * radius,
                                 c.window_center + 2.5 * radius)
         assert c.x_left == half_return(Zb, "lower", c.x_star, local)
+
+
+def _producing_census(k):
+    lam, eps, mag = CENSUS[k]
+    Z = monodromic_family(k, 1.0)
+    data = classify_mts(Z)
+    good = cycle_producing_sign(data.delta, data.V2, "minus")
+    params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=good * mag,
+                             shift_convention="minus")
+    nodes = (0.0,) + lam
+    radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
+    return Z, params, radius
+
+
+SCAN_BS = [-1e-5, -1e-4, -1e-3, 1e-5, 1e-4, 1e-3]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_census_roots_equal_each_window_alone(cfg, k):
+    # solving every window's brackets in lockstep gives each cycle exactly
+    # what its own window's search gives
+    Z, params, radius = _producing_census(k)
+    rep = cycle_census(Z, params, cfg)
+    assert len(rep.cycles) == k
+    _, Zb = unfolded_shifted(Z, params)
+    for c in rep.cycles:
+        (alone,) = find_cycles_local(Zb, c.window_center, radius, params.b, cfg)
+        assert (alone.x_star, alone.x_left, alone.derivative) \
+            == (c.x_star, c.x_left, c.derivative)
+
+
+def test_scan_rows_equal_one_b_scans(cfg):
+    # six shifted fields share each round; every row is the one-b scan's
+    Z = monodromic_family(1, 1.0)
+    table = pseudo_hopf_scan(Z, SCAN_BS, "minus", cfg)
+    assert table.rows == [pseudo_hopf_scan(Z, [b], "minus", cfg).rows[0]
+                          for b in sorted(SCAN_BS)]
+
+
+def test_failed_root_solve_is_one_diagnostic(cfg, monkeypatch):
+    # a displacement that fails inside one window's root solve ends that
+    # bracket with a diagnostic; the census returns and the other window
+    # keeps its cycle
+    Z, params, _ = _producing_census(2)
+    clean = cycle_census(Z, params, cfg)
+    calls = []
+
+    def failing(Zs, xs, *args, **kwargs):
+        calls.append(len(xs))
+        out = displacements(Zs, xs, *args, **kwargs)
+        if len(calls) == 1:  # the grid batch
+            return out
+        return [StepFailure("injected") if x < 0 else s for x, s in zip(xs, out)]
+
+    monkeypatch.setattr("filippov.cycles.displacements", failing)
+    rep = cycle_census(Z, params, cfg)
+    assert [c.window_center for c in clean.cycles] == pytest.approx([-0.1, 0.1])
+    assert rep.cycles == clean.cycles[1:]
+    assert not rep.passed
+    failed = [d for d in rep.diagnostics if "root solve in bracket" in d]
+    assert len(failed) == 1
+    assert failed[0].startswith("window -0.1: root solve in bracket (-0.")
+    assert failed[0].endswith(") failed: StepFailure: injected")
+
+
+# Lane rounds per operation: at most half of what one-window Brent
+# refinement with sequential upper and lower arcs took (101, 130, 129, 220).
+ROUND_CAPS = {"census_k2": 50, "census_k3": 65, "census_k4": 64, "scan_k1": 110}
+
+
+@pytest.mark.parametrize("op", sorted(ROUND_CAPS))
+def test_rounds_per_operation(cfg, monkeypatch, op):
+    rounds = []
+    attempt = flow._Lanes.attempt
+
+    def counted(self, *args):
+        rounds.append(self.y.shape[1])
+        return attempt(self, *args)
+
+    monkeypatch.setattr(flow._Lanes, "attempt", counted)
+    if op == "scan_k1":
+        table = pseudo_hopf_scan(monodromic_family(1, 1.0), SCAN_BS, "minus", cfg)
+        assert sum(r.n_cycles for r in table.rows) == 3
+    else:
+        Z, params, _ = _producing_census(int(op[-1]))
+        assert cycle_census(Z, params, cfg).passed
+    assert len(rounds) <= ROUND_CAPS[op]
 
 
 def test_census_scale_separation_guard(cfg):

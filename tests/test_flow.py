@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from conftest import level_set_return
 from filippov import (
     UnfoldingParams,
+    apply_shift,
     displacement,
     displacements,
     estimate_lyapunov,
@@ -17,6 +18,7 @@ from filippov import (
     monodromic_family,
     cross_coupled_system,
 )
+from filippov import flow
 from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
 from filippov.flow import _interpolate, _Lanes, write_delta_csv
@@ -139,7 +141,7 @@ def _lane_vs_scipy(sgn, T, rtol, atol, max_step, first_step):
 
     ref = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol,
                     max_step=max_step, first_step=first_step, dense_output=True)
-    lanes = _Lanes(field, np.array([y0]).T, [sgn], rtol, atol)
+    lanes = _Lanes([field], np.array([y0]).T, [sgn], rtol, atol)
     if first_step is None:
         lanes.select_initial_step(np.array([T]), np.array([max_step]))
     else:
@@ -201,14 +203,48 @@ _CENSUS = {"k2": (2, (-1.0, 1.0), 0.1, -1e-6),
            "k3": (3, (-1.0, 1.0, 2.0, 3.0), 0.05, -1e-8)}
 
 
+def _arc_outcome(arc):
+    if isinstance(arc, FilippovError):
+        return type(arc).__name__
+    return (arc[0], arc[1].tobytes())
+
+
+def _mixed_field_lanes():
+    """Both sides of every grid sample of the k = 1 scan's six shifted
+    fields (window radius 0.3) and of the k = 3 census's five windows, as
+    half-arc lanes ``(field, sigma, x, window)``."""
+    lanes = []
+    for b in (-1e-3, -1e-4, -1e-5, 1e-5, 1e-4, 1e-3):
+        Zb = apply_shift(monodromic_family(1, 1.0), b, "minus")
+        lanes += [(field, sigma, float(x), (-0.75, 0.75))
+                  for x in np.geomspace(abs(b) * (1.0 + 1e-3), 0.3, 50)
+                  for _, sigma, field in Zb.sides()]
+    k, lam, eps, b = _CENSUS["k3"]
+    invisible = expected_invisible_indices(k)
+    grids = [_census_grid(k, lam, eps, b, w, visible=w not in invisible)
+             for w in range(2 * k - 1)]
+    Zb = grids[0][0]
+    for _, xs, c, r in grids:
+        lanes += [(field, sigma, float(x), (c - 2.5 * r, c + 2.5 * r))
+                  for x in xs for _, sigma, field in Zb.sides()]
+    return lanes
+
+
 @pytest.mark.parametrize("case", ["k2-window1", "k3-window1", "cross-coupled",
-                                  "k3-all-windows"])
+                                  "k3-all-windows", "mixed-fields"])
 def test_lanes_are_independent(cfg, case):
     # every sample is bit-identical integrated alone or in a batch of 50,
     # failed samples included; the census's five k = 3 grids, each bounded
     # by its own window and oriented at its own center, share one batch
-    # exactly as each window's own batch
-    if case == "k3-all-windows":
+    # exactly as each window's own batch; and lanes of fourteen different
+    # fields (both sides of six shifted fields and of the census field)
+    # each follow their own field exactly as alone
+    if case == "mixed-fields":
+        lanes = _mixed_field_lanes()
+        assert len({id(field) for field, _, _, _ in lanes}) == 14
+        batch = [_arc_outcome(a) for a in flow._half_arcs(lanes, cfg)]
+        alone = [_arc_outcome(flow._half_arcs([lane], cfg)[0]) for lane in lanes]
+    elif case == "k3-all-windows":
         k, lam, eps, b = _CENSUS["k3"]
         invisible = expected_invisible_indices(k)
         grids = [_census_grid(k, lam, eps, b, w, visible=w not in invisible)
