@@ -6,13 +6,17 @@ vectorised DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, sections
 II.5-6), so that both sides of a displacement sample, the grids of several
 windows and several shifted fields share each round of stage evaluations.
 Step control is per lane and follows ``scipy.integrate.DOP853``; there are
-no chunks and no restarts.  The dense output of every accepted step is
-scanned on a refined mesh for sign changes of ``y``, a crossing is solved
-on that lane's interpolant by Brent's method, and a lane stops at its first
-accepted crossing.  A departure guard keeps the event search from
-re-triggering on the start point, which lies exactly on the line: crossings
-are only accepted once the orbit has either reached height ``guard_height``
-or run for longer than ``guard_time``.
+no chunks and no restarts.  Each round evaluates the dense output of every
+accepted step on a refined mesh, and array masks over (mesh point, lane)
+mark every window escape and every sign change of ``y`` at once; only a
+lane with a marked point is looked at one by one, at its marked points in
+mesh order, where a crossing is solved on its interpolant by Brent's
+method.  A lane stops at its first escape or accepted crossing.  A
+departure guard keeps the event search from re-triggering on the start
+point, which lies exactly on the line: crossings are only accepted once
+the orbit has either reached height ``guard_height`` or run for longer
+than ``guard_time``.  Trajectories are kept only for callers that draw
+them.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
 order, and the right-hand side gives each lane a column of coefficients
@@ -298,15 +302,18 @@ class _Lanes:
         self.coeffs = [c[:, mask] for c in self.coeffs]
 
 
-def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig) -> list:
+def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
+          paths: bool = True) -> list:
     """Integrate one orbit arc per start until it returns to ``y = 0``.
 
     ``fields`` holds each lane's :class:`SmoothField`; ``signs`` holds +1
     for a lane integrated along its field, -1 against it; ``windows`` holds
     each lane's ``(lo, hi)`` abscissa bound, or None for an unbounded lane.
-    Returns, per lane, ``(x_return, trajectory)`` or the
-    :class:`FilippovError` that ended the lane; trajectories are ``(n, 2)``
-    arrays of ``(x, y)`` states ending at the located crossing.
+    Returns, per lane, ``(x_return, trajectory)`` (with ``paths``) or
+    ``x_return`` alone, or the :class:`FilippovError` that ended the lane;
+    trajectories are ``(n, 2)`` arrays of ``(x, y)`` states ending at the
+    located crossing.  At a mesh point that both leaves the window and
+    changes sign, the escape wins.
     """
     n = len(starts)
     out: list = [None] * n
@@ -320,10 +327,11 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig) -> list:
         lanes.select_initial_step(span, cap)
 
         ids = np.arange(n)
+        bounded = np.array([w is not None for w in windows])
         lo, hi = np.array([(-math.inf, math.inf) if w is None else w
                            for w in windows], dtype=float).T
         max_abs_y = np.abs(lanes.y[1])
-        trails = [[np.array([s], dtype=float)] for s in starts]
+        trails = [[np.array([s], dtype=float)] for s in starts] if paths else None
         while ids.size:
             accepted, failed = lanes.attempt(
                 cfg.max_time, np.where(lanes.t < span, cap, cfg.max_step))
@@ -332,34 +340,51 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig) -> list:
                 out[ids[i]] = StepFailure(
                     "Required step size is less than spacing between numbers.")
             steps = np.flatnonzero(accepted)
+            at = ids[steps]
             mesh = _interpolate(lanes.F[:, :, steps], lanes.y_old[:, steps],
                                 _THETAS)
             xs, ys = mesh[:, 0], mesh[:, 1]
             prev = np.concatenate([lanes.y_old[1:, steps], ys[:-1]])
-            event = (((prev != 0) & (ys == 0)) | (prev * ys < 0)).any(axis=0)
-            at = ids[steps]
-            event |= ~((lo[at] <= xs) & (xs <= hi[at])).all(axis=0)
-            quiet = steps[~event]
-            max_abs_y[quiet] = np.fmax(max_abs_y[quiet],
-                                       np.fmax.reduce(np.abs(ys[:, ~event]), axis=0))
-            for a, i in enumerate(steps):
-                result = None
-                if event[a]:
-                    result, max_abs_y[i] = _scan_step(
-                        lanes, i, mesh[:, :, a], max_abs_y[i], windows[ids[i]],
-                        cfg, brentq)
-                if result is None:
-                    trails[ids[i]].append(mesh[:, :, a])
-                    if lanes.t[i] >= cfg.max_time:
-                        result = NoReturn(
-                            "no return to the switching line within "
-                            f"max_time={cfg.max_time}")
-                elif not isinstance(result, FilippovError):
-                    x_star, tail = result
-                    result = (x_star, np.concatenate(trails[ids[i]] + [tail]))
-                if result is not None:
-                    done[i] = True
-                    out[ids[i]] = result
+            cross = ((prev != 0) & (ys == 0)) | (prev * ys < 0)
+            escape = bounded[at] & ~((lo[at] <= xs) & (xs <= hi[at]))
+            # peak |y| before each mesh point, then over the whole step
+            peak = np.fmax.accumulate(
+                np.concatenate([max_abs_y[None, steps], np.abs(ys)]), axis=0)
+            tall = peak[:-1] > cfg.guard_height
+            max_abs_y[steps] = peak[-1]
+            flagged = cross | escape
+            for a in np.flatnonzero(flagged.any(axis=0)):
+                i, j = steps[a], at[a]
+                cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
+                x0, y0 = lanes.y_old[:, i].tolist()
+                for m in np.flatnonzero(flagged[:, a]):
+                    if escape[m, a]:
+                        out[j] = NotInWindow(f"arc reached x={xs[m, a]:.6g} "
+                                             f"outside window {windows[j]}")
+                        break
+                    if ys[m, a] == 0.0:
+                        th_star = _THETAS[m]
+                    else:
+                        th_star = brentq(lambda s: _interpolate1(cy, y0, s),
+                                         _THETAS[m - 1] if m else 0.0,
+                                         _THETAS[m], xtol=BRENT_TOL,
+                                         rtol=BRENT_TOL)
+                    t_star = float(lanes.t_old[i]) + th_star * float(lanes.h_step[i])
+                    if tall[m, a] or t_star > cfg.guard_time:
+                        x_star = _interpolate1(cx, x0, th_star)
+                        out[j] = x_star if not paths else (x_star, np.concatenate(
+                            trails[j] + [mesh[:m, :, a],
+                                         [[x_star, _interpolate1(cy, y0, th_star)]]]))
+                        break
+                done[i] = out[j] is not None
+            timeout = ~done & (lanes.t >= cfg.max_time)
+            for i in np.flatnonzero(timeout):
+                out[ids[i]] = NoReturn(
+                    f"no return to the switching line within max_time={cfg.max_time}")
+            done |= timeout
+            if paths:
+                for a in np.flatnonzero(~done[steps]):
+                    trails[at[a]].append(mesh[:, :, a])
             if done.any():
                 keep = ~done
                 lanes.keep(keep)
@@ -393,42 +418,6 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
     span = np.where(tangent, np.minimum(_CAPPED_SPAN, np.maximum(
         8.0 * t_scale, 4.0 * cfg.guard_time)), _CAPPED_SPAN)
     return cap, np.minimum(span, cfg.max_time)
-
-
-def _scan_step(lanes: _Lanes, i: int, mesh, max_abs_y: float, window,
-               cfg: IntegratorConfig, brentq):
-    """Scan lane ``i``'s accepted step for an escape from its ``window``
-    (None: unbounded) or an accepted crossing, in mesh order.
-
-    ``mesh`` holds the dense output at :data:`_THETAS`, shape (m, 2);
-    ``brentq`` is ``scipy.optimize.brentq``, imported once per batch.
-    Returns ``(result, max_abs_y)``: result is None when the lane goes on,
-    a :class:`NotInWindow`, or ``(x_star, tail)`` with ``tail`` the mesh
-    points before the crossing followed by the crossing itself.
-    """
-    cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
-    x0, y0 = lanes.y_old[:, i].tolist()
-    y_prev, th_prev = y0, 0.0
-    for m, th in enumerate(_THETAS):
-        x_here, y_here = mesh[m].tolist()
-        if window is not None and not (window[0] <= x_here <= window[1]):
-            return NotInWindow(
-                f"arc reached x={x_here:.6g} outside window {window}"), max_abs_y
-        if (y_prev != 0.0 and y_here == 0.0) or y_prev * y_here < 0.0:
-            if y_here == 0.0:
-                th_star = th
-            else:
-                th_star = brentq(lambda s: _interpolate1(cy, y0, s), th_prev,
-                                 th, xtol=BRENT_TOL, rtol=BRENT_TOL)
-            t_star = float(lanes.t_old[i]) + th_star * float(lanes.h_step[i])
-            if max_abs_y > cfg.guard_height or t_star > cfg.guard_time:
-                crossing = [_interpolate1(cx, x0, th_star),
-                            _interpolate1(cy, y0, th_star)]
-                return (crossing[0], np.vstack([mesh[:m], [crossing]])), max_abs_y
-        if abs(y_here) > max_abs_y:
-            max_abs_y = abs(y_here)
-        y_prev, th_prev = y_here, th
-    return None, max_abs_y
 
 
 def _one(result):
@@ -472,9 +461,9 @@ def _half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
                 f"({x}, 0) is a tangency point; the half-return map is undefined")
     go = [lanes[n] for n in moving]
     arcs = _arcs([f for f, _, _, _ in go], [(float(x), 0.0) for _, _, x, _ in go],
-                 signs, [w for _, _, _, w in go], cfg)
+                 signs, [w for _, _, _, w in go], cfg, not returns)
     for n, arc in zip(moving, arcs):
-        out[n] = arc[0] if returns and not isinstance(arc, FilippovError) else arc
+        out[n] = arc
     return out
 
 

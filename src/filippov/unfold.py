@@ -296,7 +296,7 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
 
     sides = []
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", under="raise"):
             H = nodes[:, None] ** powers[None, :]
         for xi in xi_values(Z, data, lam, eps):
             xv = np.array([float(v) for v in xi])
@@ -309,10 +309,10 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
                     f"interpolation routes disagree by {gap:.3e} in coefficient norm")
             sides.append(Poly1([0.0, *rescaled]))
         norms = sides[0].norm(), sides[1].norm()
-    except (OverflowError, FloatingPointError) as exc:
+    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise InputError(
-            f"epsilon={eps:g} is too large: the perturbation leaves the "
-            "float range") from exc
+            f"epsilon={eps:g} is too {'large' if eps > 1 else 'small'}: the "
+            "perturbation leaves the float range") from exc
 
     return PerturbationPolys(p_plus=sides[0], p_minus=sides[1],
                              norm_plus=norms[0], norm_minus=norms[1])
@@ -339,9 +339,15 @@ def apply_shift(Z: PiecewiseField, b: float,
         raise InputError(f"shift b={b} is not a finite number")
     if b == 0:
         return Z
-    return PiecewiseField(
-        upper=Z.upper.shift_x(-b if convention == "minus" else b),
-        lower=Z.lower)
+    try:
+        upper = Z.upper.shift_x(-b if convention == "minus" else b)
+        finite = max(upper.X.max_abs_coeff(), upper.Y.max_abs_coeff()) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InputError(
+            f"shift b={b:g} is too large: the shifted field leaves the float range")
+    return PiecewiseField(upper=upper, lower=Z.lower)
 
 
 def unfolded_shifted(Z: PiecewiseField, params: UnfoldingParams,

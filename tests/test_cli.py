@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -349,6 +350,9 @@ def _bool_exponent(doc):
     (None, ["cycles", "--epsilon", "-0.1"], True),
     (None, ["verify-lemma1", "--draws", "-1"], True),
     (None, ["verify-lemma1", "--gate", "nan"], True),
+    (None, ["cycles", "--b", "1e300"], True),
+    (None, ["scan", "--b-values=1e300"], True),
+    (None, ["unfold", "--epsilon", "1e-300"], True),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):
@@ -363,6 +367,27 @@ def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
     assert report.exists() == loads
     if loads:
         assert json.loads(report.read_text())["status"] == "error"
+
+
+_EXTREME = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308,
+            float("nan"), float("inf"), float("-inf"), 0.0]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from(["unfold", "verify-ladder", "cycles"]),
+       st.sampled_from(_EXTREME) | st.floats(),
+       st.sampled_from(_EXTREME) | st.floats())
+def test_extreme_overrides_end_in_an_exit_code_and_a_report(command, b, epsilon):
+    unfold = {"k": 2, "lambda": [-1.0, 1.0], "epsilon": 0.1, "b": -1e-6,
+              "shift": "minus"}
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = family_doc("k2", 2, 1.0, unfold=unfold, outputs=f"{tmp}/out")
+        path = Path(tmp, "k2.json")
+        path.write_text(json.dumps(doc))
+        code = main([command, "--config", str(path), f"--b={b!r}",
+                     f"--epsilon={epsilon!r}"])
+        assert code in (0, 1, 2, 3)
+        assert Path(tmp, "out", f"k2.{command}.json").exists()
 
 
 # -- input contract: any JSON-like document parses or raises InputError --------

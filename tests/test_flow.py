@@ -52,6 +52,23 @@ def test_no_return(cfg):
         integrate_to_sigma(f, (0.0, 0.0), "forward", short)
 
 
+def test_departure_guard(cfg):
+    # the arc from (0.1, 0) peaks at |y| = 0.005 and returns near t = 0.2:
+    # either guard alone lets that return through, both together refuse it
+    # as an echo of the start, and the arc runs on until it leaves
+    def arc(**guards):
+        c = dataclasses.replace(cfg, max_time=5.0, **guards)
+        return integrate_to_sigma(rotation_like(), (0.1, 0.0), "backward", c)
+
+    assert arc()[0] == pytest.approx(-0.1, abs=1e-9)
+    assert arc(guard_height=0.004, guard_time=0.3)[0] == pytest.approx(-0.1, abs=1e-9)
+    assert arc(guard_height=0.01, guard_time=0.15)[0] == pytest.approx(-0.1, abs=1e-9)
+    with pytest.raises(NoReturn):
+        arc(guard_height=0.01, guard_time=0.3)
+    with pytest.raises(NotInWindow):
+        arc(guard_height=0.01, guard_time=0.3, window=(-0.15, 0.15))
+
+
 def test_bad_direction(cfg):
     with pytest.raises(InputError):
         integrate_to_sigma(rotation_like(), (0.1, 0.0), "up", cfg)
@@ -206,7 +223,9 @@ _CENSUS = {"k2": (2, (-1.0, 1.0), 0.1, -1e-6),
 def _arc_outcome(arc):
     if isinstance(arc, FilippovError):
         return type(arc).__name__
-    return (arc[0], arc[1].tobytes())
+    if isinstance(arc, float):
+        return arc.hex()
+    return (arc[0].hex(), arc[1].tobytes())
 
 
 def _mixed_field_lanes():
@@ -244,6 +263,10 @@ def test_lanes_are_independent(cfg, case):
         assert len({id(field) for field, _, _, _ in lanes}) == 14
         batch = [_arc_outcome(a) for a in flow._half_arcs(lanes, cfg)]
         alone = [_arc_outcome(flow._half_arcs([lane], cfg)[0]) for lane in lanes]
+        # lanes that keep no path return the same crossings, bit for bit
+        returns = flow._half_arcs(lanes, cfg, returns=True)
+        assert [_arc_outcome(r) for r in returns] == [
+            a if isinstance(a, str) else a[0] for a in batch]
     elif case == "k3-all-windows":
         k, lam, eps, b = _CENSUS["k3"]
         invisible = expected_invisible_indices(k)

@@ -269,6 +269,13 @@ def test_apply_shift_conventions():
     assert Zp.upper.Y.restrict_sigma()(-0.1) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("b", [1e300, 1.1e77])
+def test_shift_beyond_float_range_is_input_error(b):
+    # b**4 overflows at 1e300; at 1.1e77 it is finite but 2 * b**4 is not
+    with pytest.raises(InputError):
+        apply_shift(monodromic_family(2, 2.0), b, "minus")
+
+
 def test_double_shift_restores():
     Z = monodromic_family(2, 1.0)
     Zb = apply_shift(apply_shift(Z, 0.05, "minus"), -0.05, "minus")
