@@ -13,10 +13,8 @@ from .field import (  # noqa: F401
     SmoothField,
     classify_mts,
     contact_info,
-    contact_multiplicity,
     local_V2,
     sigma_regions,
-    visibility,
 )
 from .flow import (  # noqa: F401
     IntegratorConfig,

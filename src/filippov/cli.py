@@ -23,6 +23,7 @@ from .errors import (
     InputError,
     NumericalError,
     VerificationMismatch,
+    exit_code,
 )
 from .field import classify_mts
 from .flow import displacements, estimate_lyapunov, write_delta_csv
@@ -44,10 +45,12 @@ from .unfold import (
     verify_contact_ladder,
 )
 
-COMMANDS = ("classify", "lyapunov", "unfold", "verify-ladder", "verify-lemma1",
-            "verify-v2-limit", "cycles", "scan", "delta-dump", "portrait")
-
 LEMMA1_GATE = 1e-8
+
+# Random lemma-1 nodes: drawn from (-span, span), at least min_gap from zero
+# and from each other.
+LAMBDA_SPAN = 3.0
+LAMBDA_MIN_GAP = 0.2
 
 
 def _unfold_params(scenario: Scenario):
@@ -120,12 +123,12 @@ def _cmd_verify_lemma1(scenario, args):
     return payload, "ok", []
 
 
-def _random_lambda(rng, k: int, span: float = 3.0, min_gap: float = 0.2):
+def _random_lambda(rng, k: int):
     n = 2 * k - 2
     while True:
-        lam = rng.uniform(-span, span, size=n)
-        ok = all(abs(a) >= min_gap for a in lam)
-        ok = ok and all(abs(lam[i] - lam[j]) >= min_gap
+        lam = rng.uniform(-LAMBDA_SPAN, LAMBDA_SPAN, size=n)
+        ok = all(abs(a) >= LAMBDA_MIN_GAP for a in lam)
+        ok = ok and all(abs(lam[i] - lam[j]) >= LAMBDA_MIN_GAP
                         for i in range(n) for j in range(i + 1, n))
         if ok:
             return [float(a) for a in lam]
@@ -145,7 +148,11 @@ def _cmd_cycles(scenario, args):
 
 def _cmd_scan(scenario, args):
     if args.b_values:
-        b_values = args.b_values
+        try:
+            b_values = [float(v) for v in args.b_values]
+        except ValueError as exc:
+            raise InputError(
+                f"malformed --b-values {','.join(args.b_values)!r}") from exc
     elif scenario.unfold is not None and scenario.unfold.b != 0:
         mag = abs(scenario.unfold.b)
         b_values = [-mag, mag]
@@ -222,6 +229,7 @@ _DISPATCH = {
     "delta-dump": _cmd_delta_dump,
     "portrait": _cmd_portrait,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _write_json(path: Path, doc) -> None:
@@ -267,13 +275,11 @@ def run(config_path, command: str, b=None, epsilon=None, shift=None,
     try:
         payload, status, diagnostics = handler(scenario, args)
         code = 0 if status == "ok" else 3
-    except VerificationMismatch as exc:
-        payload = exc.report or {}
-        status, diagnostics, code = "mismatch", [str(exc)], 3
-    except InputError as exc:
-        payload, status, diagnostics, code = {}, "error", [str(exc)], 1
-    except NumericalError as exc:
-        payload, status, diagnostics, code = {}, "error", [str(exc)], 2
+    except (InputError, NumericalError, VerificationMismatch) as exc:
+        code = exit_code(exc)[0]
+        status = "mismatch" if code == 3 else "error"
+        payload = getattr(exc, "report", None) or {}
+        diagnostics = [str(exc)]
 
     report_path = _write_report(scenario, command, payload, status, diagnostics)
     with open(report_path, "r", encoding="utf-8") as fh:
@@ -311,12 +317,7 @@ def main(argv=None) -> int:
 
     b_values = None
     if args.b_values is not None:
-        try:
-            b_values = [float(v) for v in args.b_values.split(",") if v.strip()]
-        except ValueError:
-            print(f"error: malformed --b-values {args.b_values!r}",
-                  file=sys.stderr)
-            return 1
+        b_values = [v for v in args.b_values.split(",") if v.strip()]
 
     try:
         code, report = run(
@@ -324,18 +325,10 @@ def main(argv=None) -> int:
             shift=args.shift, out=args.out, seed=args.seed, gate=args.gate,
             draws=args.draws, b_values=b_values,
             dump_normalized=args.dump_normalized)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except VerificationMismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except FilippovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix = exit_code(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
     if not args.dump_normalized:
         for line in report.get("diagnostics", []):

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The command-line driver maps these onto process exit codes:
-``InputError`` -> 1, ``NumericalError`` -> 2, ``VerificationMismatch`` -> 3.
+The command-line driver maps these onto process exit codes through
+:data:`EXIT_CODES`: ``InputError`` -> 1, ``NumericalError`` -> 2,
+``VerificationMismatch`` -> 3, and any other ``FilippovError`` -> 2.
 """
 
 
@@ -91,3 +92,21 @@ class Inconclusive(NumericalError):
 
 class ScaleSeparationViolated(NumericalError):
     """Cycle search windows would overlap at the requested parameters."""
+
+
+# --- command-line mapping ---------------------------------------------------
+
+# (class, exit code, stderr prefix); the first row that matches wins, so the
+# base class comes last.
+EXIT_CODES = (
+    (InputError, 1, "error"),
+    (NumericalError, 2, "numerical failure"),
+    (VerificationMismatch, 3, "mismatch"),
+    (FilippovError, 2, "error"),
+)
+
+
+def exit_code(exc: FilippovError) -> tuple:
+    """``(exit code, stderr prefix)`` of an error, from :data:`EXIT_CODES`."""
+    return next((code, prefix) for cls, code, prefix in EXIT_CODES
+                if isinstance(exc, cls))

@@ -37,7 +37,7 @@ from .errors import (
     NotMonodromic,
     SingularX,
 )
-from .poly import Poly1, Poly2
+from .poly import Poly2
 from .record import Record
 
 # A derivative (coefficient) counts as zero below this relative threshold;
@@ -129,78 +129,41 @@ class SigmaSegment(Record):
         }
 
 
-def _coeff_tol(p: Poly1) -> float:
-    return DERIV_ZERO_TOL * max(1.0, p.max_abs_coeff())
+def _coeff_tol(p, tol: float = DERIV_ZERO_TOL) -> float:
+    """The one scale rule: ``tol`` relative to the largest coefficient of
+    ``p``, never below ``tol`` itself."""
+    return tol * max(1.0, p.max_abs_coeff())
 
 
-def contact_multiplicity(f: SmoothField, x0: float) -> int:
-    """Tangency multiplicity of the field with ``y = 0`` at ``(x0, 0)``.
+def contact_info(f: SmoothField, x0, side: str) -> ContactInfo:
+    """Multiplicity and visibility of the contact of ``f`` with ``y = 0``
+    at ``(x0, 0)``.
 
-    Returns 1 at a regular (transversal) point; a multiplicity ``n >= 2``
-    means ``x0`` is a root of order ``n - 1`` of ``x -> Y(x, 0)``.
-    """
-    px = f.X.restrict_sigma()
-    if abs(float(px(x0))) <= _coeff_tol(px):
-        raise SingularX(f"horizontal component vanishes at x0={x0}")
-    py = f.Y.restrict_sigma().shift(x0)
-    tol = _coeff_tol(py)
-    for m in range(py.degree + 1):
-        if abs(float(py.coeff(m))) > tol:
-            return m + 1
-    raise DegenerateContact(
-        f"all derivatives of Y(x, 0) vanish at x0={x0}")
-
-
-def visibility(f: SmoothField, x0: float, n: int, side: str) -> str:
-    """Visibility of an even-multiplicity contact.
-
-    The contact is invisible when the orbit through ``(x0, 0)`` locally
-    leaves the field's own half-plane.  The local vertical excursion has the
-    sign of ``X * d^{n-1}Y/dx^{n-1}`` at the contact, so the contact is
-    invisible iff ``sigma * X * d^{n-1}Y/dx^{n-1} < 0``.
+    The multiplicity is 1 at a regular (transversal) point; ``n >= 2``
+    means ``x0`` is a root of order ``n - 1`` of ``x -> Y(x, 0)``.  An even
+    multiplicity is invisible when the orbit through ``(x0, 0)`` locally
+    leaves the field's own half-plane: the local vertical excursion has the
+    sign of ``X * d^{n-1}Y/dx^{n-1}``, so the contact is invisible iff
+    ``sigma * X * d^{n-1}Y/dx^{n-1} < 0``.  Regular points and odd-order
+    tangencies get "not-applicable".
     """
     if side not in SIGMA:
         raise InputError(f"unknown side {side!r}")
-    if n < 2 or n % 2:
-        raise InputError(f"visibility requires an even multiplicity, got {n}")
-    mult = contact_multiplicity(f, x0)
-    if mult != n:
-        raise InputError(
-            f"contact at x0={x0} has multiplicity {mult}, expected {n}")
-    py = f.Y.restrict_sigma().shift(x0)
-    d = py.coeff(n - 1)  # d^{n-1}Y/dx^{n-1}(x0, 0) up to the factorial
-    s = f.X.restrict_sigma()(x0) * d
-    return "invisible" if SIGMA[side] * s < 0 else "visible"
-
-
-def contact_info(f: SmoothField, x0: float, side: str) -> ContactInfo:
-    """Full record of one contact point.
-
-    Visibility only applies to even multiplicities at least 2; regular
-    points and odd-order tangencies get "not-applicable".
-    """
-    mult = contact_multiplicity(f, x0)
-    if mult == 1 or mult % 2:
-        vis = "not-applicable"
-    else:
-        vis = visibility(f, x0, mult, side)
-    return ContactInfo(x0=x0, side=side, multiplicity=mult, visibility=vis)
-
-
-def _side_multiplicity(f: SmoothField, side: str) -> int:
     px = f.X.restrict_sigma()
-    if abs(float(px.coeff(0))) <= _coeff_tol(px):
-        raise NotMonodromic("C1", f"X {side} vanishes at the origin")
-    try:
-        mult = contact_multiplicity(f, 0.0)
-    except (SingularX, DegenerateContact) as exc:
-        raise NotMonodromic("C1", str(exc)) from exc
-    if mult == 1:
-        raise NotMonodromic("C1", f"Y {side} does not vanish at the origin")
-    if mult % 2:
-        raise NotMonodromic(
-            "C1", f"{side} tangency has odd multiplicity {mult}")
-    return mult
+    x_at = px(x0)
+    if abs(float(x_at)) <= _coeff_tol(px):
+        raise SingularX(f"horizontal component vanishes at x0={x0}")
+    py = f.Y.shift_x(x0).restrict_sigma()
+    tol = _coeff_tol(py)
+    m = next((i for i, c in enumerate(py.coeffs) if abs(float(c)) > tol), None)
+    if m is None:
+        raise DegenerateContact(
+            f"all derivatives of Y(x, 0) vanish at x0={x0}")
+    if m % 2 == 0:  # multiplicity m + 1 is odd
+        vis = "not-applicable"
+    else:  # py.coeff(m) is d^m Y/dx^m(x0, 0) up to the factorial
+        vis = "invisible" if SIGMA[side] * x_at * py.coeff(m) < 0 else "visible"
+    return ContactInfo(x0=x0, side=side, multiplicity=m + 1, visibility=vis)
 
 
 def correction_quotient(f: SmoothField, sigma: int, delta: int, a, k: int):
@@ -214,8 +177,7 @@ def correction_quotient(f: SmoothField, sigma: int, delta: int, a, k: int):
     px = f.X.restrict_sigma()
     num = (sigma * delta) * py - a * px.times_x_power(2 * k - 1)
     q, residual = num.divide_x_power(2 * k)
-    scale = max(1.0, num.max_abs_coeff())
-    if residual > DIV_RESIDUAL_TOL * scale:
+    if residual > _coeff_tol(num, DIV_RESIDUAL_TOL):
         raise DivisionResidual(
             f"numerator of f not divisible by x^{2 * k}: residual {residual:.3e}")
     return q, px
@@ -226,16 +188,31 @@ def _g00(f: SmoothField, sigma: int, delta: int):
     xs = f.X.restrict_sigma().to_poly2()
     ys = f.Y.restrict_sigma().to_poly2()
     num = sigma * (xs * f.Y - f.X * ys)
-    scale = max(1.0, num.max_abs_coeff())
     bad = max(
         (abs(float(c)) for (i, j), c in num.terms.items() if j == 0),
         default=0.0,
     )
-    if bad > DIV_RESIDUAL_TOL * scale:
+    if bad > _coeff_tol(num, DIV_RESIDUAL_TOL):
         raise DivisionResidual(
             f"numerator of g00 not divisible by y: residual {bad:.3e}")
     x00 = f.X.restrict_sigma().coeff(0)
     return num.taylor_coeff(0, 1) / (delta * x00 * x00)
+
+
+def _origin_contact(f: SmoothField, side: str) -> ContactInfo:
+    """The contact at the origin, with every C1 violation raised."""
+    try:
+        info = contact_info(f, 0.0, side)
+    except SingularX as exc:
+        raise NotMonodromic("C1", f"X {side} vanishes at the origin") from exc
+    except DegenerateContact as exc:
+        raise NotMonodromic("C1", str(exc)) from exc
+    if info.multiplicity == 1:
+        raise NotMonodromic("C1", f"Y {side} does not vanish at the origin")
+    if info.multiplicity % 2:
+        raise NotMonodromic(
+            "C1", f"{side} tangency has odd multiplicity {info.multiplicity}")
+    return info
 
 
 def classify_mts(Z: PiecewiseField) -> MonodromyData:
@@ -246,15 +223,15 @@ def classify_mts(Z: PiecewiseField) -> MonodromyData:
     including the second displacement coefficient ``V2``.
     """
     sides = Z.sides()
-    ks = [_side_multiplicity(f, name) // 2 for name, _, f in sides]
+    infos = [_origin_contact(f, name) for name, _, f in sides]
+    for info in infos:
+        if info.visibility == "visible":
+            raise NotMonodromic("C2", f"{info.side} tangency is visible")
+    ks = [info.multiplicity // 2 for info in infos]
     x0s = [f.X.restrict_sigma().coeff(0) for _, _, f in sides]
     # Leading restricted coefficients carry the sign of d^{2k-1}Y/dx^{2k-1}.
     cs = [f.Y.restrict_sigma().coeff(2 * k - 1)
           for (_, _, f), k in zip(sides, ks)]
-
-    for (name, sigma, _), x0, c in zip(sides, x0s, cs):
-        if not sigma * x0 * c < 0:
-            raise NotMonodromic("C2", f"{name} tangency is visible")
     if not x0s[0] * x0s[1] < 0:
         raise NotMonodromic("C3", "horizontal components do not oppose")
 

@@ -78,6 +78,8 @@ _THETAS = tuple((m + 1) / _SCAN_REFINE for m in range(_SCAN_REFINE))
 # Length of the time span after the start over which the tangency step
 # cap holds; past it resolution no longer matters.
 _CAPPED_SPAN = 0.25
+# Geometric grid size of the Lyapunov fit.
+LYAPUNOV_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -533,20 +535,20 @@ def displacement(Z: PiecewiseField, x: float, cfg: IntegratorConfig,
     return _one(displacements(Z, [x], cfg, base_x)[0])
 
 
-def estimate_lyapunov(Z: PiecewiseField, window, cfg: IntegratorConfig,
-                      n_points: int = 20) -> LyapunovEstimate:
+def estimate_lyapunov(Z: PiecewiseField, window,
+                      cfg: IntegratorConfig) -> LyapunovEstimate:
     """Fit the leading order and coefficient of the displacement function.
 
-    Samples the displacement on a geometric grid inside ``window`` (both
-    endpoints positive), fits ``log|delta|`` against ``log x`` by least
-    squares, and reports the nearest-integer order together with a
-    sign-aware geometric-mean prefactor.  Windows where every sample stays
-    within ``10 * event_tol`` are declared centers.
+    Samples the displacement on a geometric grid of :data:`LYAPUNOV_POINTS`
+    points inside ``window`` (both endpoints positive), fits ``log|delta|``
+    against ``log x`` by least squares, and reports the nearest-integer
+    order together with a sign-aware geometric-mean prefactor.  Windows
+    where every sample stays within ``10 * event_tol`` are declared centers.
     """
     x_min, x_max = float(window[0]), float(window[1])
     if not (0 < x_min < x_max):
         raise InputError("window must satisfy 0 < x_min < x_max")
-    xs = np.geomspace(x_min, x_max, n_points)
+    xs = np.geomspace(x_min, x_max, LYAPUNOV_POINTS)
     deltas = np.array([_one(s).delta_value for s in displacements(Z, xs, cfg)])
 
     noise = 10.0 * cfg.event_tol
@@ -554,7 +556,7 @@ def estimate_lyapunov(Z: PiecewiseField, window, cfg: IntegratorConfig,
         return LyapunovEstimate(order=0, coefficient=0.0, fit_r2=1.0,
                                 window=(x_min, x_max), center=True)
     keep = np.abs(deltas) >= noise
-    if keep.sum() < max(4, n_points // 3):
+    if keep.sum() < max(4, LYAPUNOV_POINTS // 3):
         raise Inconclusive("too few displacement samples above noise")
     xs, deltas = xs[keep], deltas[keep]
 

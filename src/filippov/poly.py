@@ -263,16 +263,6 @@ class Poly1:
                 out.append(c / (m + 1))
         return Poly1(out)
 
-    def shift(self, h) -> "Poly1":
-        """Compose with ``x -> x + h``."""
-        if h == 0:
-            return self
-        out = [0] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            for m in range(i + 1):
-                out[m] += c * math.comb(i, m) * h ** (i - m)
-        return Poly1(out)
-
     def times_x_power(self, n: int) -> "Poly1":
         if n == 0:
             return self

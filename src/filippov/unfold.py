@@ -48,11 +48,11 @@ from .field import (
     MonodromyData,
     PiecewiseField,
     SmoothField,
+    _coeff_tol,
     classify_mts,
-    contact_multiplicity,
+    contact_info,
     correction_quotient,
     local_V2,
-    visibility,
 )
 from .poly import Poly1, Poly2
 from .record import Record
@@ -66,6 +66,14 @@ MIN_GAP = 1e-6
 METHOD_AGREEMENT_TOL = 1e-7
 
 LADDER_RESIDUAL_TOL = 1e-9
+
+# Numeric lemma-1 extrapolation grid: epsilon in {h, h/2, h/4}.
+LEMMA1_STEP = 1e-2
+
+# Local V2 convergence: epsilon grid as multiples of the scenario's epsilon,
+# and the least fitted order of the error decay.
+V2_LIMIT_EPS_FACTORS = (1.0, 0.5, 0.25)
+V2_LIMIT_MIN_ORDER = 0.9
 
 
 @dataclass(frozen=True)
@@ -298,16 +306,18 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
     try:
         with np.errstate(over="raise", under="raise"):
             H = nodes[:, None] ** powers[None, :]
-        for xi in xi_values(Z, data, lam, eps):
-            xv = np.array([float(v) for v in xi])
-            direct = np.linalg.solve(H, xv)
-            full = newton_through_origin(lam, [float(v) for v in xi])
-            rescaled = np.array([full[j] / eps**j for j in range(1, n + 1)])
-            gap = float(np.linalg.norm(direct - rescaled))
-            if gap > METHOD_AGREEMENT_TOL:
-                raise IllConditioned(
-                    f"interpolation routes disagree by {gap:.3e} in coefficient norm")
-            sides.append(Poly1([0.0, *rescaled]))
+        with np.errstate(over="raise"):
+            for xi in xi_values(Z, data, lam, eps):
+                xv = np.array([float(v) for v in xi])
+                direct = np.linalg.solve(H, xv)
+                full = newton_through_origin(lam, [float(v) for v in xi])
+                rescaled = np.array([full[j] / eps**j for j in range(1, n + 1)])
+                gap = float(np.linalg.norm(direct - rescaled))
+                if gap > METHOD_AGREEMENT_TOL:
+                    raise IllConditioned(
+                        f"interpolation routes disagree by {gap:.3e} "
+                        "in coefficient norm")
+                sides.append(Poly1([0.0, *rescaled]))
         norms = sides[0].norm(), sides[1].norm()
     except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         raise InputError(
@@ -405,8 +415,7 @@ def verify_contact_ladder(Z_unfolded: PiecewiseField,
 
     sides = Z_unfolded.sides()
     restricted = [f.Y.restrict_sigma() for _, _, f in sides]
-    tols = [LADDER_RESIDUAL_TOL * max(1.0, p.max_abs_coeff())
-            for p in restricted]
+    tols = [_coeff_tol(p, LADDER_RESIDUAL_TOL) for p in restricted]
 
     records = []
     for index, x0 in points:
@@ -417,9 +426,10 @@ def verify_contact_ladder(Z_unfolded: PiecewiseField,
         ok = all(r < tol for r, tol in zip(res, tols))
         try:
             for i, (name, _, f) in enumerate(sides):
-                mult[i] = contact_multiplicity(f, x0)
+                info = contact_info(f, x0, name)
+                mult[i] = info.multiplicity
                 if mult[i] == 2:
-                    vis[i] = visibility(f, x0, 2, name)
+                    vis[i] = info.visibility
             ok = ok and mult == [2, 2] and vis == [expected, expected]
         except FilippovError as exc:  # classification failures are ladder failures
             vis = [f"error: {exc}"] * 2
@@ -445,10 +455,12 @@ def _exactify_field(Z: PiecewiseField) -> PiecewiseField:
                              for name, _, f in Z.sides()})
 
 
-def _rescaled_coefficient_curves(Z, k, lam, h):
-    """``C_j(eps)`` sampled on the grid ``{h, h/2, h/4}``, then the value and
-    first derivative at zero from the quadratic through the samples."""
+def _rescaled_coefficient_curves(Z, k, lam):
+    """``C_j(eps)`` sampled on the grid ``{h, h/2, h/4}`` with
+    ``h = LEMMA1_STEP``, then the value and first derivative at zero from the
+    quadratic through the samples."""
     data = classify_mts(Z)
+    h = LEMMA1_STEP
     eps_grid = [h, h / 2, h / 4]
     n = 2 * k - 2
     samples = {"plus": [], "minus": []}
@@ -505,7 +517,7 @@ def _poly_from_roots(leading, roots):
 
 
 def lemma1_check(Z: PiecewiseField, k: int, lam,
-                 mode: str = "numeric", h: float = 1e-2) -> Lemma1Report:
+                 mode: str = "numeric") -> Lemma1Report:
     """Evaluate the identity system satisfied by ``C_j(0)`` and ``dC_j(0)``.
 
     Checks, with residuals reported rather than gated:
@@ -519,8 +531,9 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
       etc. (the ``f0`` ratios are skipped when ``f0_plus`` vanishes).
 
     ``mode="numeric"`` extrapolates the coefficient curves from the grid
-    ``{h, h/2, h/4}``; ``mode="exact"`` recomputes them in rational
-    arithmetic so that residuals are exactly zero for rational inputs.
+    ``{h, h/2, h/4}`` with ``h =`` :data:`LEMMA1_STEP`; ``mode="exact"``
+    recomputes them in rational arithmetic so that residuals are exactly
+    zero for rational inputs.
     """
     if k < 2:
         raise InputError("the identity system needs k >= 2")
@@ -528,7 +541,7 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
     if mode == "exact":
         data, curves = _exact_coefficient_curves(Z, k, lam)
     elif mode == "numeric":
-        data, curves = _rescaled_coefficient_curves(Z, k, lam, h)
+        data, curves = _rescaled_coefficient_curves(Z, k, lam)
     else:
         raise InputError(f"unknown mode {mode!r}")
     require_order(data, k)
@@ -601,15 +614,15 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
         cross_side_residuals=cross_max, mode=mode)
 
 
-def local_V2_limit_check(Z: PiecewiseField, params: UnfoldingParams,
-                         eps_factors=(1.0, 0.5, 0.25),
-                         min_order: float = 0.9) -> V2LimitReport:
+def local_V2_limit_check(Z: PiecewiseField,
+                         params: UnfoldingParams) -> V2LimitReport:
     """Convergence of the per-contact ``V2`` toward ``(2k+1)/3 * V2``.
 
-    For every invisible contact index the unfolded field is rebuilt on a
-    shrinking epsilon grid and the local coefficient is classified at the
-    moving contact point; the error against the limit must decay with
-    fitted order at least ``min_order``.
+    The field is unfolded once per epsilon of a shrinking grid
+    (:data:`V2_LIMIT_EPS_FACTORS`), and at every invisible contact index the
+    local coefficient is classified at the moving contact point; the error
+    against the limit must decay with fitted order at least
+    :data:`V2_LIMIT_MIN_ORDER`.
     """
     data = classify_mts(Z)
     k = params.k
@@ -623,16 +636,17 @@ def local_V2_limit_check(Z: PiecewiseField, params: UnfoldingParams,
         raise InvalidLambda("ordered nodes a1 < 0 < a2 < ... are required")
 
     limit = (2 * k + 1) / 3.0 * V2
-    eps_grid = [params.epsilon * f for f in eps_factors]
+    eps_grid = [params.epsilon * f for f in V2_LIMIT_EPS_FACTORS]
+    unfolded = []  # per epsilon, built on first use
     rows = []
     for index in sorted(expected_invisible_indices(k)):
         a_i = float(params.lam[index - 1])
         abscissas, values, errors = [], [], []
-        for eps in eps_grid:
-            p_eps = replace(params, epsilon=eps)
-            polys = build_perturbation(Z, p_eps, data)
-            Zu = build_unfolded(Z, polys)
-            v = float(local_V2(Zu, eps * a_i))
+        for j, eps in enumerate(eps_grid):
+            if j == len(unfolded):
+                polys = build_perturbation(Z, replace(params, epsilon=eps), data)
+                unfolded.append(build_unfolded(Z, polys))
+            v = float(local_V2(unfolded[j], eps * a_i))
             abscissas.append(eps * a_i)
             values.append(v)
             errors.append(abs(v - limit))
@@ -641,7 +655,8 @@ def local_V2_limit_check(Z: PiecewiseField, params: UnfoldingParams,
         order = float(np.polyfit(lx, le, 1)[0])
         rows.append(V2LimitRow(
             index=index, a_i=a_i, abscissas=abscissas, values=values,
-            errors=errors, fitted_order=order, ok=order >= min_order))
+            errors=errors, fitted_order=order,
+            ok=order >= V2_LIMIT_MIN_ORDER))
 
     report = V2LimitReport(limit=limit, V2=V2, eps_grid=eps_grid, rows=rows,
                            ok=all(r.ok for r in rows))

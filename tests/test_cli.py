@@ -353,6 +353,8 @@ def _bool_exponent(doc):
     (None, ["cycles", "--b", "1e300"], True),
     (None, ["scan", "--b-values=1e300"], True),
     (None, ["unfold", "--epsilon", "1e-300"], True),
+    (None, ["unfold", "--epsilon", "6.4e56"], True),
+    (None, ["scan", "--b-values=1e-4,abc"], True),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
                                                    edit, argv, loads):

@@ -3,17 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filippov import (
     classify_mts,
     contact_info,
-    contact_multiplicity,
     local_V2,
     monodromic_family,
     cross_coupled_system,
     family_V2,
     sigma_regions,
-    visibility,
 )
 from filippov.errors import (
     DegenerateContact,
@@ -22,7 +21,7 @@ from filippov.errors import (
     SingularX,
 )
 from filippov.field import PiecewiseField, SmoothField
-from filippov.poly import Poly2
+from filippov.poly import Poly1, Poly2
 from filippov.unfold import UnfoldingParams, build_perturbation, build_unfolded
 
 
@@ -41,61 +40,55 @@ def unfolded_family(k, c, lam, eps):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_family_multiplicity(k):
     Z = monodromic_family(k, 0.5)
-    assert contact_multiplicity(Z.upper, 0.0) == 2 * k
-    assert contact_multiplicity(Z.lower, 0.0) == 2 * k
+    assert contact_info(Z.upper, 0.0, "upper").multiplicity == 2 * k
+    assert contact_info(Z.lower, 0.0, "lower").multiplicity == 2 * k
 
 
 def test_two_fold():
-    assert contact_multiplicity(simple_field(1.0, {(1, 0): -1.0}), 0.0) == 2
+    f = simple_field(1.0, {(1, 0): -1.0})
+    assert contact_info(f, 0.0, "upper").multiplicity == 2
 
 
 def test_unfolded_contacts_have_multiplicity_two():
     Zu, params = unfolded_family(2, 1.0, (-1.0, 1.0), 0.1)
     for x0 in (-0.1, 0.0, 0.1):
-        assert contact_multiplicity(Zu.upper, x0) == 2
-        assert contact_multiplicity(Zu.lower, x0) == 2
+        assert contact_info(Zu.upper, x0, "upper").multiplicity == 2
+        assert contact_info(Zu.lower, x0, "lower").multiplicity == 2
 
 
 def test_regular_point_is_multiplicity_one():
     Z = monodromic_family(1, 0.0)
-    assert contact_multiplicity(Z.upper, 0.5) == 1
+    assert contact_info(Z.upper, 0.5, "upper").multiplicity == 1
 
 
 def test_singular_x():
     f = SmoothField(Poly2({(1, 0): 1.0}), Poly2({(1, 0): -1.0}))
     with pytest.raises(SingularX):
-        contact_multiplicity(f, 0.0)
+        contact_info(f, 0.0, "upper")
 
 
 def test_degenerate_contact():
     f = simple_field(1.0, {})
     with pytest.raises(DegenerateContact):
-        contact_multiplicity(f, 0.0)
+        contact_info(f, 0.0, "upper")
 
 
 # -- visibility ---------------------------------------------------------------
 
 def test_visibility_upper_invisible():
-    assert visibility(simple_field(1.0, {(1, 0): -1.0}), 0.0, 2, "upper") \
-        == "invisible"
+    f = simple_field(1.0, {(1, 0): -1.0})
+    assert contact_info(f, 0.0, "upper").visibility == "invisible"
 
 
 def test_visibility_lower_invisible():
-    assert visibility(simple_field(-1.0, {(1, 0): -1.0}), 0.0, 2, "lower") \
-        == "invisible"
+    f = simple_field(-1.0, {(1, 0): -1.0})
+    assert contact_info(f, 0.0, "lower").visibility == "invisible"
 
 
 def test_visibility_unfolded_origin_is_visible():
     Zu, _ = unfolded_family(2, 1.0, (-1.0, 1.0), 0.1)
-    assert visibility(Zu.upper, 0.0, 2, "upper") == "visible"
-    assert visibility(Zu.lower, 0.0, 2, "lower") == "visible"
-
-
-def test_visibility_precondition():
-    with pytest.raises(InputError):
-        visibility(simple_field(1.0, {(1, 0): -1.0}), 0.0, 4, "upper")
-    with pytest.raises(InputError):
-        visibility(simple_field(1.0, {(1, 0): -1.0}), 0.0, 3, "upper")
+    assert contact_info(Zu.upper, 0.0, "upper").visibility == "visible"
+    assert contact_info(Zu.lower, 0.0, "lower").visibility == "visible"
 
 
 def test_contact_info_record():
@@ -109,6 +102,37 @@ def test_contact_info_record():
     odd = contact_info(simple_field(1.0, {(2, 0): 1.0}), 0.0, "upper")
     assert odd.multiplicity == 3
     assert odd.visibility == "not-applicable"
+    with pytest.raises(InputError):
+        contact_info(Z.upper, 0.0, "middle")
+
+
+_ORDER_ONE = st.fractions(min_value=-2, max_value=2, max_denominator=16)
+_NONZERO = _ORDER_ONE.filter(lambda v: abs(v) >= Fraction(1, 4))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(x0=_ORDER_ONE, h=_ORDER_ONE, m=st.integers(0, 4), g0=_NONZERO,
+       g1=_ORDER_ONE, x_const=_NONZERO, coupling=_ORDER_ONE,
+       side=st.sampled_from(["upper", "lower"]))
+def test_contact_info_exact_root_order(x0, h, m, g0, g1, x_const, coupling,
+                                       side):
+    # Y(x, 0) = (x - x0)^m * g(x) with g(x0) = g0 != 0, plus a y-coupling
+    restricted = Poly1([g0 - g1 * x0, g1])
+    for _ in range(m):
+        restricted = restricted * Poly1([-x0, 1])
+    Y = restricted.to_poly2() + Poly2({(1, 1): coupling})
+    f = SmoothField(Poly2.constant(x_const), Y)
+    info = contact_info(f, x0, side)
+    assert info.multiplicity == m + 1
+    if m % 2:
+        sigma = 1 if side == "upper" else -1
+        invisible = sigma * x_const * g0 < 0
+        assert info.visibility == ("invisible" if invisible else "visible")
+    else:
+        assert info.visibility == "not-applicable"
+    moved = contact_info(f.shift_x(h), x0 - h, side)
+    assert (moved.multiplicity, moved.visibility) \
+        == (info.multiplicity, info.visibility)
 
 
 # -- classification -----------------------------------------------------------

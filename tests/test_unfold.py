@@ -342,10 +342,10 @@ def test_ladder_requires_ordered_nodes():
 def test_ladder_propagates_programming_errors(monkeypatch):
     # only classification failures count as ladder failures; a defect in
     # the code under the ladder must surface, not be reported as a mismatch
-    def broken(field, x0):
+    def broken(field, x0, side):
         raise ZeroDivisionError("defect")
 
-    monkeypatch.setattr("filippov.unfold.contact_multiplicity", broken)
+    monkeypatch.setattr("filippov.unfold.contact_info", broken)
     Z = monodromic_family(2, 1.0)
     params = params_for(2, (-1.0, 1.0), 0.1)
     with pytest.raises(ZeroDivisionError):
