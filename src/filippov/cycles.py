@@ -3,7 +3,7 @@
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
 brackets candidate roots, Chandrupatla's method
-(``scipy.optimize.elementwise.find_root``) solves the brackets of all
+(:func:`filippov.roots.chandrupatla`) solves the brackets of all
 windows in lockstep, and a central-difference derivative decides
 hyperbolicity and stability (a first-return contraction, i.e. negative
 derivative, is stable).  Every accepted cycle must enclose
@@ -31,8 +31,8 @@ from .flow import (
     displacements,
     estimate_lyapunov,
 )
-from .poly import BRENT_TOL
 from .record import Record
+from .roots import BRENT_TOL, chandrupatla
 from .unfold import (
     UnfoldingParams,
     apply_shift,
@@ -232,9 +232,11 @@ def _refine_windows(windows, cfg, diagnostics) -> list:
 
 def _solve_brackets(windows, brackets, memo, cfg) -> list:
     """Root, or the error that ended its solve, of every bracket ``(window
-    index, lo, hi)``, all by one lockstep ``find_root`` whose iterations
-    each integrate their new abscissae as one batch (see :func:`_fill`)."""
-    from scipy.optimize.elementwise import find_root
+    index, lo, hi)``, all by one lockstep :func:`chandrupatla` whose
+    iterations each integrate their new abscissae as one batch (see
+    :func:`_fill`)."""
+    if not brackets:
+        return []
     errors: dict = {}
 
     def residual(xs, ids):
@@ -246,12 +248,14 @@ def _solve_brackets(windows, brackets, memo, cfg) -> list:
         return np.array([math.nan if k in errors else memo[w, x].delta_value
                          for k, w, x in points])
 
-    res = find_root(residual, tuple(np.reshape(brackets, (-1, 3))[:, 1:].T),
-                    args=(np.arange(len(brackets)),), tolerances=dict(
-                        xrtol=BRENT_TOL, fatol=ROOT_RESIDUAL_TOL, frtol=0.0))
-    return [errors.get(k, x if ok else FilippovError(f"find_root status {st}"))
+    _, lo, hi = zip(*brackets)
+    xs, success, status = chandrupatla(
+        residual, lo, hi, (np.arange(len(brackets)),), xrtol=BRENT_TOL,
+        fatol=ROOT_RESIDUAL_TOL)
+    return [errors.get(k, x if ok else
+                       FilippovError(f"chandrupatla status {st}"))
             for k, (x, ok, st) in enumerate(zip(
-                res.x.tolist(), res.success.tolist(), res.status.tolist()))]
+                xs.tolist(), success.tolist(), status.tolist()))]
 
 
 def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:

@@ -16,7 +16,9 @@ departure guard keeps the event search from re-triggering on the start
 point, which lies exactly on the line: crossings are only accepted once
 the orbit has either reached height ``guard_height`` or run for longer
 than ``guard_time``.  Trajectories are kept only for callers that draw
-them.
+them.  No scipy module is imported: the DOP853 coefficient tables are
+read from scipy's source file as data, and crossings are solved by
+:func:`filippov.roots.brent`.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
 order, and the right-hand side gives each lane a column of coefficients
@@ -28,7 +30,10 @@ bit-identical alone or in any batch.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import runpy
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,8 +47,8 @@ from .errors import (
     StepFailure,
 )
 from .field import SIGMA, PiecewiseField, SmoothField
-from .poly import BRENT_TOL
 from .record import Record
+from .roots import brent
 
 
 def _terms(row) -> tuple:
@@ -53,11 +58,16 @@ def _terms(row) -> tuple:
 @functools.cache
 def _tables():
     """scipy's DOP853 ``(A, E5, E3, D, stages)`` as nonzero (stage, coefficient)
-    pairs; A[s] builds stage s, s = ``stages`` the solution, then dense extras."""
-    from scipy.integrate._ivp import dop853_coefficients as dop
-    return (tuple(_terms(row[:s]) for s, row in enumerate(dop.A)),
-            _terms(dop.E5), _terms(dop.E3), tuple(_terms(r) for r in dop.D),
-            dop.N_STAGES)
+    pairs; A[s] builds stage s, s = ``stages`` the solution, then dense extras.
+
+    The coefficient file imports numpy alone; it is run as a script from
+    scipy's install directory, so that scipy itself is never imported."""
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    dop = runpy.run_path(os.path.join(root, "integrate", "_ivp",
+                                      "dop853_coefficients.py"))
+    return (tuple(_terms(row[:s]) for s, row in enumerate(dop["A"])),
+            _terms(dop["E5"]), _terms(dop["E3"]),
+            tuple(_terms(r) for r in dop["D"]), dop["N_STAGES"])
 
 
 def __getattr__(name):
@@ -321,7 +331,6 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
     out: list = [None] * n
     if n == 0:
         return out
-    from scipy.optimize import brentq
     with np.errstate(all="ignore"):
         lanes = _Lanes(fields, np.array(starts, dtype=float).T, signs,
                        cfg.rel_tol, cfg.abs_tol)
@@ -367,10 +376,8 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
                     if ys[m, a] == 0.0:
                         th_star = _THETAS[m]
                     else:
-                        th_star = brentq(lambda s: _interpolate1(cy, y0, s),
-                                         _THETAS[m - 1] if m else 0.0,
-                                         _THETAS[m], xtol=BRENT_TOL,
-                                         rtol=BRENT_TOL)
+                        th_star = brent(lambda s: _interpolate1(cy, y0, s),
+                                        _THETAS[m - 1] if m else 0.0, _THETAS[m])
                     t_star = float(lanes.t_old[i]) + th_star * float(lanes.h_step[i])
                     if tall[m, a] or t_star > cfg.guard_time:
                         x_star = _interpolate1(cx, x0, th_star)

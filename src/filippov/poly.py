@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, DuplicateTerm, InputError
+from .roots import BRENT_TOL, brent  # noqa: F401  (BRENT_TOL re-exported)
 
 # All constructions in this package need total degree <= 2k with k <= 4;
 # the cap only guards against runaway arithmetic.
@@ -29,9 +30,6 @@ DEGREE_CAP = 64
 # Float coefficients below this are treated as rounding debris and dropped.
 DROP_TOL = 1e-14
 
-# Four ulps: the ``xtol``/``rtol`` of every ``brentq`` root (polynomial roots,
-# arc crossings) and the ``xrtol`` of the cycles' lockstep ``find_root``.
-BRENT_TOL = 4 * sys.float_info.epsilon
 
 
 def _keep(c) -> bool:
@@ -362,8 +360,7 @@ class Poly1:
                 continue
             if (v0 < 0) == (v1 < 0):
                 continue
-            from scipy.optimize import brentq
-            roots.append(brentq(p, t0, t1, xtol=BRENT_TOL, rtol=BRENT_TOL))
+            roots.append(brent(lambda t: float(p(t)), t0, t1))
         roots.sort()
         merged = []
         for r in roots:

@@ -235,13 +235,13 @@ _LAZY_SCIPY = """
 import sys
 import filippov, filippov.cli
 from filippov import (IntegratorConfig, UnfoldingParams, build_perturbation,
-                      classify_mts, cycle_producing_sign, displacement,
-                      lemma1_check, local_V2_limit_check, monodromic_family,
-                      verify_contact_ladder)
+                      classify_mts, cycle_census, cycle_producing_sign,
+                      displacement, lemma1_check, local_V2_limit_check,
+                      monodromic_family, verify_contact_ladder)
 from filippov.unfold import build_unfolded
 
 def loaded():
-    return [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 Z = monodromic_family(2, 1.0)
 data = classify_mts(Z)
@@ -254,20 +254,45 @@ lemma1_check(Z, 2, params.lam)
 limit = local_V2_limit_check(Z, params)
 print(ladder.ok, limit.ok, loaded())
 displacement(Z, 0.02, IntegratorConfig())
-print(loaded())
+census = cycle_census(Z, params, IntegratorConfig())
+print(census.passed, len(census.cycles), loaded())
 """
 
 
-def test_algebraic_layers_do_not_load_scipy():
-    """Classification, unfolding, the ladder, Lemma 1 and the V2 limit run
-    without scipy; the first arc loads it."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def _src_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=env,
+
+
+def test_algebraic_layers_do_not_load_scipy():
+    """Classification, unfolding, the ladder, Lemma 1, the V2 limit, an arc
+    and a k = 2 census with its root solves all run without importing any
+    scipy module."""
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "True True []", "['scipy.optimize', 'scipy.integrate']"]
+    assert proc.stdout.splitlines() == ["True True []", "True 2 []"]
+
+
+_CLI_SCIPY = """
+import sys
+from filippov.cli import main
+config, out = sys.argv[1:]
+codes = [main([command, "--config", config, "--out", out])
+         for command in ("cycles", "scan", "portrait")]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_arc_commands_do_not_load_scipy(tmp_path):
+    """``cycles``, ``scan`` and ``portrait`` integrate arcs and solve roots
+    with no scipy module imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SCIPY,
+         str(ROOT / "scenarios" / "four-fold-c1.json"), str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 def test_shipped_scenarios_parse():
