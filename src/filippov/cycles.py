@@ -32,7 +32,7 @@ from .flow import (
     estimate_lyapunov,
 )
 from .record import Record
-from .roots import BRENT_TOL, chandrupatla
+from .roots import chandrupatla
 from .unfold import (
     UnfoldingParams,
     apply_shift,
@@ -239,8 +239,8 @@ def _solve_brackets(windows, brackets, memo, cfg) -> list:
         return []
     errors: dict = {}
 
-    def residual(xs, ids):
-        points = [(k, brackets[k][0], x) for k, x in zip(ids.tolist(), xs.tolist())]
+    def residual(xs, active):
+        points = [(k, brackets[k][0], x) for k, x in zip(active.tolist(), xs.tolist())]
         _fill(windows, [(w, x) for k, w, x in points if k not in errors], memo, cfg)
         for k, w, x in points:
             if isinstance(memo.get((w, x)), FilippovError):
@@ -249,11 +249,8 @@ def _solve_brackets(windows, brackets, memo, cfg) -> list:
                          for k, w, x in points])
 
     _, lo, hi = zip(*brackets)
-    xs, success, status = chandrupatla(
-        residual, lo, hi, (np.arange(len(brackets)),), xrtol=BRENT_TOL,
-        fatol=ROOT_RESIDUAL_TOL)
-    return [errors.get(k, x if ok else
-                       FilippovError(f"chandrupatla status {st}"))
+    xs, success, status = chandrupatla(residual, lo, hi, ROOT_RESIDUAL_TOL)
+    return [errors.get(k, x if ok else FilippovError(f"chandrupatla status {st}"))
             for k, (x, ok, st) in enumerate(zip(
                 xs.tolist(), success.tolist(), status.tolist()))]
 

@@ -62,9 +62,13 @@ def _tables():
 
     The coefficient file imports numpy alone; it is run as a script from
     scipy's install directory, so that scipy itself is never imported."""
-    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
-    dop = runpy.run_path(os.path.join(root, "integrate", "_ivp",
-                                      "dop853_coefficients.py"))
+    spec = importlib.util.find_spec("scipy")
+    path = spec and spec.origin and os.path.join(
+        os.path.dirname(spec.origin), "integrate", "_ivp", "dop853_coefficients.py")
+    if not path or not os.path.isfile(path):
+        raise ImportError("the DOP853 tables are read from an installed scipy's "
+                          "scipy/integrate/_ivp/dop853_coefficients.py; not found")
+    dop = runpy.run_path(path)
     return (tuple(_terms(row[:s]) for s, row in enumerate(dop["A"])),
             _terms(dop["E5"]), _terms(dop["E3"]),
             tuple(_terms(r) for r in dop["D"]), dop["N_STAGES"])

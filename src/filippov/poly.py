@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, DuplicateTerm, InputError
-from .roots import BRENT_TOL, brent  # noqa: F401  (BRENT_TOL re-exported)
+from .roots import brent
 
 # All constructions in this package need total degree <= 2k with k <= 4;
 # the cap only guards against runaway arithmetic.
@@ -29,7 +29,6 @@ DEGREE_CAP = 64
 
 # Float coefficients below this are treated as rounding debris and dropped.
 DROP_TOL = 1e-14
-
 
 
 def _keep(c) -> bool:
@@ -360,7 +359,7 @@ class Poly1:
                 continue
             if (v0 < 0) == (v1 < 0):
                 continue
-            roots.append(brent(lambda t: float(p(t)), t0, t1))
+            roots.append(brent(p, t0, t1))
         roots.sort()
         merged = []
         for r in roots:

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-# Four ulps: the ``xtol``/``rtol`` of every Brent root (polynomial roots,
+# Four ulps: the ``xtol`` and ``rtol`` of every Brent root (polynomial roots,
 # arc crossings) and the ``xrtol`` of the cycles' lockstep Chandrupatla.
 BRENT_TOL = 4 * sys.float_info.epsilon
 BRENT_MAXITER = 100
@@ -26,9 +26,9 @@ def _signbit(v: float) -> bool:
     return math.copysign(1.0, v) < 0
 
 
-def brent(f, a: float, b: float, xtol: float = BRENT_TOL,
-          rtol: float = BRENT_TOL) -> float:
-    """A root of ``f`` in the bracket ``[a, b]``, as ``brentq`` finds it.
+def brent(f, a: float, b: float) -> float:
+    """A root of ``f`` in the bracket ``[a, b]``, as ``brentq`` finds it with
+    ``xtol = rtol = BRENT_TOL``.
 
     Raises ``ValueError`` for a NaN value of ``f`` or ends whose values have
     the same sign bit, ``RuntimeError`` after :data:`BRENT_MAXITER`
@@ -56,7 +56,7 @@ def brent(f, a: float, b: float, xtol: float = BRENT_TOL,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -83,23 +83,21 @@ _XATOL = 4 * _FINFO.smallest_normal
 _MAXITER = math.log2(_FINFO.max) - math.log2(_FINFO.smallest_normal)
 
 
-def chandrupatla(f, lo, hi, args=(), xrtol: float = BRENT_TOL,
-                 fatol: float = _FINFO.smallest_normal):
-    """Roots of the elementwise ``f(x, *args)`` in the brackets ``[lo, hi]``.
+def chandrupatla(f, lo, hi, fatol: float):
+    """Roots of the elementwise ``f(x, active)`` in the brackets ``[lo, hi]``.
 
-    ``f`` sees the active elements only, ``args`` compressed to match.  An
-    element converges when ``|f| <= fatol`` at its better end or when its
-    bracket is shorter than ``xrtol * |x|`` plus four smallest normals.
-    Returns arrays ``(x, success, status)``; ``status`` is 0 (converged), -1
-    (ends of one sign; ``x`` is NaN), -3 (non-finite ends, or NaN at both;
-    ``x`` is NaN) or -2 (iterations exhausted), as in scipy.
+    ``f`` sees the active elements only; ``active`` holds their indices into
+    ``lo``.  An element converges when ``|f| <= fatol`` at its better end or
+    when its bracket is shorter than ``BRENT_TOL * |x|`` plus four smallest
+    normals.  Returns arrays ``(x, success, status)``; ``status`` is 0
+    (converged), -1 (ends of one sign; ``x`` is NaN), -3 (non-finite ends, or
+    NaN at both; ``x`` is NaN) or -2 (iterations exhausted), as in scipy.
     """
-    x1, x2 = (np.array(v, dtype=float).reshape(-1) for v in (lo, hi))
-    args = [np.asarray(arg).reshape(-1) for arg in args]
-    f1, f2 = (np.asarray(f(x, *args), dtype=float) for x in (x1, x2))
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    active, nit, t = np.arange(x1.size), 0, 0.5
+    f1, f2 = (np.asarray(f(x, active), dtype=float) for x in (x1, x2))
     x, status = np.zeros(x1.size), np.ones(x1.size, dtype=int)
     frtol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))  # NaN at a NaN end
-    active, nit, t = np.arange(x1.size), 0, 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             # termination check, then drop the finished elements
@@ -113,7 +111,7 @@ def chandrupatla(f, lo, hi, args=(), xrtol: float = BRENT_TOL,
             st[bad] = -3
             xmin[sign | bad] = math.nan
             dx = np.abs(x2 - x1)
-            tol = np.abs(xmin) * xrtol + _XATOL
+            tol = np.abs(xmin) * BRENT_TOL + _XATOL
             st[dx < tol] = 0
             go = st == 1
             x[active[~go]], status[active[~go]] = xmin[~go], st[~go]
@@ -121,7 +119,7 @@ def chandrupatla(f, lo, hi, args=(), xrtol: float = BRENT_TOL,
             if not active.size or nit >= _MAXITER:
                 break
             x1, f1, x2, f2, frtol = x1[go], f1[go], x2[go], f2[go], frtol[go]
-            dx, tol, args = dx[go], tol[go], [arg[go] for arg in args]
+            dx, tol = dx[go], tol[go]
             if nit:  # inverse quadratic step where it is safe, else bisect
                 x3, f3 = x3[go], f3[go]
                 xi1 = (x1 - x2) / (x3 - x2)
@@ -135,7 +133,7 @@ def chandrupatla(f, lo, hi, args=(), xrtol: float = BRENT_TOL,
                 tl = 0.5 * tol / dx
                 t = np.clip(t, tl, 1 - tl)
             xn = x1 + t * (x2 - x1)
-            fn = np.asarray(f(xn, *args), dtype=float)
+            fn = np.asarray(f(xn, active), dtype=float)
             j = np.sign(fn) == np.sign(f1)
             x3, f3 = x2.copy(), f2.copy()
             x3[j], f3[j] = x1[j], f1[j]

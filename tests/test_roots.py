@@ -6,6 +6,7 @@ bit for bit."""
 import functools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
-from filippov import flow
+from filippov import flow, roots
 from filippov.cycles import ROOT_RESIDUAL_TOL
 from filippov.roots import BRENT_TOL, brent, chandrupatla
 
@@ -36,6 +37,14 @@ def _outcome(solver, f, a, b, **tol):
         return type(exc)
 
 
+def _outcomes(f, a, b, tol=BRENT_TOL):
+    """:func:`brent` and ``brentq`` at ``xtol = rtol = tol``; a ``tol`` other
+    than :data:`BRENT_TOL` is patched into the module for :func:`brent`."""
+    with mock.patch.object(roots, "BRENT_TOL", tol):
+        ours = _outcome(brent, f, a, b)
+    return ours, _outcome(brentq, f, a, b, xtol=tol, rtol=tol)
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(coeffs=st.lists(_coeff, min_size=1, max_size=8), a=_end, b=_end,
        special=st.sampled_from(["none", "zero-a", "zero-b", "negzero-a",
@@ -44,8 +53,8 @@ def _outcome(solver, f, a, b, **tol):
 def test_brent_matches_brentq(coeffs, a, b, special, xtol):
     """Random polynomials of degree <= 7 on random brackets, including exact
     (signed) zeros at an end, NaN values and same-sign ends: same root to the
-    bit, or the same exception class.  Coarse ``xtol`` values exercise the
-    step rules near the tolerance."""
+    bit, or the same exception class.  Coarse tolerances exercise the step
+    rules near the tolerance."""
     override = {"zero-a": (a, 0.0), "zero-b": (b, 0.0), "negzero-a": (a, -0.0),
                 "negzero-b": (b, -0.0), "nan-a": (a, math.nan)}.get(special)
     cut = (a + b) / 2
@@ -57,29 +66,27 @@ def test_brent_matches_brentq(coeffs, a, b, special, xtol):
             return math.nan
         return _horner(coeffs, x)
 
-    tol = dict(xtol=xtol, rtol=BRENT_TOL)
-    assert _outcome(brent, f, a, b, **tol) == _outcome(brentq, f, a, b, **tol)
+    ours, ref = _outcomes(f, a, b, xtol)
+    assert ours == ref
 
 
 def test_brent_step_rules_at_coarse_tolerance():
-    """Seeded random polynomials at a coarse ``xtol``, where a step that is
+    """Seeded random polynomials at a coarse tolerance, where a step that is
     short against the tolerance shows up in the returned root."""
     rng = random.Random(1)
     for _ in range(3000):
         coeffs = [rng.uniform(-10, 10) for _ in range(rng.randint(2, 8))]
         a, b, xtol = rng.uniform(-3, 3), rng.uniform(-3, 3), rng.choice([0.1, 0.3])
         f = functools.partial(_horner, coeffs)
-        tol = dict(xtol=xtol, rtol=BRENT_TOL)
-        assert _outcome(brent, f, a, b, **tol) == _outcome(brentq, f, a, b, **tol)
+        ours, ref = _outcomes(f, a, b, xtol)
+        assert ours == ref
 
 
 def test_brent_raises_after_its_iteration_cap():
     """Bisection from a 1e300-wide bracket needs far more than 100 steps."""
     def step(x):
         return -1.0 if x < 0.5 else 1.0
-    for solver in (brent, brentq):
-        with pytest.raises(RuntimeError):
-            solver(step, -1e300, 1e300, xtol=1e-300, rtol=BRENT_TOL)
+    assert _outcomes(step, -1e300, 1e300) == (RuntimeError, RuntimeError)
 
 
 def _recorded(calls, coeffs, nan_from):
@@ -107,13 +114,12 @@ def test_chandrupatla_matches_find_root(rows, nan_row, scale):
     hi = np.array([max(a, b) for _, a, b in rows])
     nan_from = np.full(len(rows), np.inf)
     nan_from[nan_row % len(rows)] = (lo + hi)[nan_row % len(rows)] / 2
-    idx = (np.arange(len(rows)),)
 
     calls_ours, calls_ref = [], []
     x, success, status = chandrupatla(
-        _recorded(calls_ours, coeffs, nan_from), lo, hi, idx,
-        xrtol=BRENT_TOL, fatol=ROOT_RESIDUAL_TOL)
-    ref = find_root(_recorded(calls_ref, coeffs, nan_from), (lo, hi), args=idx,
+        _recorded(calls_ours, coeffs, nan_from), lo, hi, ROOT_RESIDUAL_TOL)
+    ref = find_root(_recorded(calls_ref, coeffs, nan_from), (lo, hi),
+                    args=(np.arange(len(rows)),),
                     tolerances=dict(xrtol=BRENT_TOL, fatol=ROOT_RESIDUAL_TOL,
                                     frtol=0.0))
     np.testing.assert_array_equal(x, ref.x)
@@ -128,7 +134,7 @@ def test_chandrupatla_statuses():
     def f(x, idx):
         return np.where(idx == 2, np.nan, x * x - 2.0)
     x, success, status = chandrupatla(f, [0.0, 2.0, 0.0], [2.0, 3.0, 1.0],
-                                      (np.arange(3),))
+                                      np.finfo(float).smallest_normal)
     assert x[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert success.tolist() == [True, False, False]
     assert status.tolist() == [0, -1, -3]
@@ -143,3 +149,10 @@ def test_dop853_tables_match_scipy_module():
         tuple(terms(row[:s]) for s, row in enumerate(dop.A)),
         terms(dop.E5), terms(dop.E3), tuple(terms(r) for r in dop.D),
         dop.N_STAGES)
+
+
+def test_dop853_tables_name_the_file_when_scipy_is_missing(monkeypatch):
+    """No scipy to find: an ImportError that names the coefficient file."""
+    monkeypatch.setattr(flow.importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="dop853_coefficients.py"):
+        flow._tables.__wrapped__()
