@@ -8,17 +8,15 @@ windows and several shifted fields share each round of stage evaluations.
 Step control is per lane and follows ``scipy.integrate.DOP853``; there are
 no chunks and no restarts.  Each round evaluates the dense output of every
 accepted step on a refined mesh, and array masks over (mesh point, lane)
-mark every window escape and every sign change of ``y`` at once; only a
-lane with a marked point is looked at one by one, at its marked points in
-mesh order, where a crossing is solved on its interpolant by Brent's
-method.  A lane stops at its first escape or accepted crossing.  A
-departure guard keeps the event search from re-triggering on the start
-point, which lies exactly on the line: crossings are only accepted once
-the orbit has either reached height ``guard_height`` or run for longer
-than ``guard_time``.  Trajectories are kept only for callers that draw
-them.  No scipy module is imported: the DOP853 coefficient tables are
-read from scipy's source file as data, and crossings are solved by
-:func:`filippov.roots.brent`.
+mark every window escape and every sign change of ``y`` at once.  A lane
+ends at its first marked mesh point, the only time it is looked at on its
+own: an escape ends it with :class:`NotInWindow`, a sign change is its
+return, solved on its interpolant by Brent's method.  The start lies
+exactly on the line, and a point after an exact zero is never marked, so
+the start itself never counts as a return.  Trajectories are kept only
+for callers that draw them.  No scipy module is imported: the DOP853
+coefficient tables are read from scipy's source file as data, and
+crossings are solved by :func:`filippov.roots.brent`.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
 order, and the right-hand side gives each lane a column of coefficients
@@ -98,11 +96,11 @@ LYAPUNOV_POINTS = 20
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and guards for orbit-arc integration.
+    """Tolerances for orbit-arc integration.
 
     They apply per lane: every arc of a batch gets its own step control
     from ``rel_tol``/``abs_tol``/``max_step`` and runs until its first
-    accepted crossing or ``max_time`` (then :class:`NoReturn`), with no
+    sign change of ``y`` or ``max_time`` (then :class:`NoReturn`), with no
     chunks.  ``window``, when set, bounds the abscissa range an arc may
     visit; escaping it raises :class:`NotInWindow` for that lane only.
     ``event_tol`` only sets the displacement noise floor, ``10 * event_tol``;
@@ -113,14 +111,11 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     event_tol: float = 1e-12
-    guard_height: float = 1e-8
-    guard_time: float = 1e-6
     max_time: float = 50.0
     window: tuple | None = None
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "guard_height",
-                     "guard_time", "max_time"):
+        for name in ("rel_tol", "abs_tol", "event_tol", "max_time"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise InputError(
@@ -246,7 +241,8 @@ class _Lanes:
         return out
 
     def select_initial_step(self, interval, max_step) -> None:
-        """``scipy.integrate._ivp.common.select_initial_step`` per lane."""
+        """``scipy.integrate._ivp.common.select_initial_step`` per lane; as
+        there, an empty ``interval`` gives a zero step."""
         y, f = self.y, self.f
         scale = self.atol + np.abs(y) * self.rtol
         d0 = _norm(y / scale) / math.sqrt(2.0)
@@ -258,16 +254,16 @@ class _Lanes:
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
-        self.h = np.minimum(np.minimum(100 * h0, h1),
-                            np.minimum(interval, max_step))
+        self.h = np.where(interval == 0, 0.0, np.minimum(
+            np.minimum(100 * h0, h1), np.minimum(interval, max_step)))
 
     def attempt(self, bound, max_step):
         """Try one step in every lane, clipped at ``bound``.
 
         Returns the masks ``(accepted, failed)``; failed lanes needed a
         step below ``min_step``.  Accepted lanes advance, and the step's
-        start ``t_old``/``y_old``, length ``h_step`` and dense-output coefficients
-        ``F`` (shape (7, 2, n)) are kept for every lane.
+        start ``y_old`` and dense-output coefficients ``F`` (shape (7, 2, n))
+        are kept for every lane.
         """
         t, y, f = self.t, self.y, self.f
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -304,7 +300,7 @@ class _Lanes:
         delta = y_new - y
         self.F = np.stack([delta, h * f - delta, 2 * delta - h * (f_new + f)]
                           + [h * _combine(row, K) for row in D])
-        self.t_old, self.y_old, self.h_step = t, y, h
+        self.y_old = y
         self.t = np.where(accepted, t_new, t)
         self.y = np.where(accepted, y_new, y)
         self.f = np.where(accepted, f_new, f)
@@ -345,7 +341,6 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
         bounded = np.array([w is not None for w in windows])
         lo, hi = np.array([(-math.inf, math.inf) if w is None else w
                            for w in windows], dtype=float).T
-        max_abs_y = np.abs(lanes.y[1])
         trails = [[np.array([s], dtype=float)] for s in starts] if paths else None
         while ids.size:
             accepted, failed = lanes.attempt(
@@ -362,34 +357,24 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
             prev = np.concatenate([lanes.y_old[1:, steps], ys[:-1]])
             cross = ((prev != 0) & (ys == 0)) | (prev * ys < 0)
             escape = bounded[at] & ~((lo[at] <= xs) & (xs <= hi[at]))
-            # peak |y| before each mesh point, then over the whole step
-            peak = np.fmax.accumulate(
-                np.concatenate([max_abs_y[None, steps], np.abs(ys)]), axis=0)
-            tall = peak[:-1] > cfg.guard_height
-            max_abs_y[steps] = peak[-1]
             flagged = cross | escape
+            first = flagged.argmax(axis=0)
             for a in np.flatnonzero(flagged.any(axis=0)):
-                i, j = steps[a], at[a]
+                i, j, m = steps[a], at[a], first[a]
+                done[i] = True
+                if escape[m, a]:
+                    out[j] = NotInWindow(f"arc reached x={xs[m, a]:.6g} "
+                                         f"outside window {windows[j]}")
+                    continue
                 cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
                 x0, y0 = lanes.y_old[:, i].tolist()
-                for m in np.flatnonzero(flagged[:, a]):
-                    if escape[m, a]:
-                        out[j] = NotInWindow(f"arc reached x={xs[m, a]:.6g} "
-                                             f"outside window {windows[j]}")
-                        break
-                    if ys[m, a] == 0.0:
-                        th_star = _THETAS[m]
-                    else:
-                        th_star = brent(lambda s: _interpolate1(cy, y0, s),
-                                        _THETAS[m - 1] if m else 0.0, _THETAS[m])
-                    t_star = float(lanes.t_old[i]) + th_star * float(lanes.h_step[i])
-                    if tall[m, a] or t_star > cfg.guard_time:
-                        x_star = _interpolate1(cx, x0, th_star)
-                        out[j] = x_star if not paths else (x_star, np.concatenate(
-                            trails[j] + [mesh[:m, :, a],
-                                         [[x_star, _interpolate1(cy, y0, th_star)]]]))
-                        break
-                done[i] = out[j] is not None
+                th_star = _THETAS[m] if ys[m, a] == 0.0 else brent(
+                    lambda s: _interpolate1(cy, y0, s),
+                    _THETAS[m - 1] if m else 0.0, _THETAS[m])
+                x_star = _interpolate1(cx, x0, th_star)
+                out[j] = x_star if not paths else (x_star, np.concatenate(
+                    trails[j] + [mesh[:m, :, a],
+                                 [[x_star, _interpolate1(cy, y0, th_star)]]]))
             timeout = ~done & (lanes.t >= cfg.max_time)
             for i in np.flatnonzero(timeout):
                 out[ids[i]] = NoReturn(
@@ -402,7 +387,6 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
                 keep = ~done
                 lanes.keep(keep)
                 ids, span, cap = ids[keep], span[keep], cap[keep]
-                max_abs_y = max_abs_y[keep]
     return out
 
 
@@ -425,11 +409,8 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
                + field.Y.partial("y").eval(x, y) * vy0)
         t_scale[at] = np.where((vy0 != 0) & (acc != 0),
                                np.abs(vy0) / np.abs(acc), math.inf)
-    tangent = np.isfinite(t_scale)
-    cap = np.where(tangent, np.minimum(cfg.max_step, np.maximum(
-        t_scale / 2.0, cfg.guard_time / 4.0)), cfg.max_step)
-    span = np.where(tangent, np.minimum(_CAPPED_SPAN, np.maximum(
-        8.0 * t_scale, 4.0 * cfg.guard_time)), _CAPPED_SPAN)
+    cap = np.minimum(cfg.max_step, t_scale / 2.0)
+    span = np.minimum(_CAPPED_SPAN, 8.0 * t_scale)
     return cap, np.minimum(span, cfg.max_time)
 
 

@@ -37,8 +37,7 @@ class Scenario:
     outputs: str
 
 
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "event_tol",
-                    "guard_height", "guard_time", "max_time")
+_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "event_tol", "max_time")
 
 
 def _object(value, where: str) -> dict:

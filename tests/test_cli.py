@@ -79,6 +79,14 @@ def test_malformed_scenario_is_input_error(tmp_path):
     assert main(["classify", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("key", ["guard_height", "guard_time", "frobnicate"])
+def test_unknown_integrator_option_is_input_error(key):
+    doc = family_doc("quad", 2, 1.0)
+    doc["integrator"] = {key: 1e-8}
+    with pytest.raises(InputError, match=f"unknown integrator option '{key}'"):
+        scenario_from_dict(doc)
+
+
 def test_unknown_command_rejected(scenario_path):
     path = scenario_path(family_doc("quad", 2, 1.0))
     with pytest.raises(InputError):
@@ -400,19 +408,30 @@ _EXTREME = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308,
             float("nan"), float("inf"), float("-inf"), 0.0]
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.sampled_from(["unfold", "verify-ladder", "cycles"]),
-       st.sampled_from(_EXTREME) | st.floats(),
-       st.sampled_from(_EXTREME) | st.floats())
-def test_extreme_overrides_end_in_an_exit_code_and_a_report(command, b, epsilon):
+_EXTREME_FLOAT = st.none() | st.sampled_from(_EXTREME) | st.floats()
+
+
+# an option drawn as None is left out; --draws stays small so that no
+# example runs long
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(["unfold", "verify-ladder", "cycles", "verify-lemma1",
+                        "scan"]),
+       st.fixed_dictionaries({
+           "b": _EXTREME_FLOAT, "epsilon": _EXTREME_FLOAT, "gate": _EXTREME_FLOAT,
+           "shift": st.none() | st.sampled_from(["minus", "plus"]),
+           "seed": st.none() | st.sampled_from([-1, 0, 2**64]) | st.integers(),
+           "draws": st.none() | st.sampled_from([-1, 0, 2])}))
+def test_extreme_overrides_end_in_an_exit_code_and_a_report(command, options):
     unfold = {"k": 2, "lambda": [-1.0, 1.0], "epsilon": 0.1, "b": -1e-6,
               "shift": "minus"}
     with tempfile.TemporaryDirectory() as tmp:
         doc = family_doc("k2", 2, 1.0, unfold=unfold, outputs=f"{tmp}/out")
         path = Path(tmp, "k2.json")
         path.write_text(json.dumps(doc))
-        code = main([command, "--config", str(path), f"--b={b!r}",
-                     f"--epsilon={epsilon!r}"])
+        code = main([command, "--config", str(path),
+                     *(f"--{key}={value!r}" if isinstance(value, float)
+                       else f"--{key}={value}"
+                       for key, value in options.items() if value is not None)])
         assert code in (0, 1, 2, 3)
         assert Path(tmp, "out", f"k2.{command}.json").exists()
 

@@ -313,6 +313,20 @@ def test_census_roots_equal_each_window_alone(cfg, k):
             == (c.x_star, c.x_left, c.derivative)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_invisible_windows_keep_their_inner_samples(cfg, k):
+    # the innermost grid samples return just beside their fold; only the
+    # outer edge of window +0.15 at k = 4 still loses a sample
+    Z, params, _ = _producing_census(k)
+    rep = cycle_census(Z, params, cfg)
+    invisible = {f"window {params.epsilon * params.lam[i - 1]:+.6g}"
+                 for i in expected_invisible_indices(k)}
+    failed = [d for d in rep.diagnostics if "displacement samples failed" in d
+              and d.split(":")[0] in invisible]
+    assert failed == ([f"window +0.15: 1 of {GRID_POINTS} displacement samples "
+                       "failed (NotInWindow 1)"] if k == 4 else [])
+
+
 def test_scan_rows_equal_one_b_scans(cfg):
     # six shifted fields share each round; every row is the one-b scan's
     Z = monodromic_family(1, 1.0)

@@ -52,21 +52,22 @@ def test_no_return(cfg):
         integrate_to_sigma(f, (0.0, 0.0), "forward", short)
 
 
-def test_departure_guard(cfg):
-    # the arc from (0.1, 0) peaks at |y| = 0.005 and returns near t = 0.2:
-    # either guard alone lets that return through, both together refuse it
-    # as an echo of the start, and the arc runs on until it leaves
-    def arc(**guards):
-        c = dataclasses.replace(cfg, max_time=5.0, **guards)
-        return integrate_to_sigma(rotation_like(), (0.1, 0.0), "backward", c)
-
-    assert arc()[0] == pytest.approx(-0.1, abs=1e-9)
-    assert arc(guard_height=0.004, guard_time=0.3)[0] == pytest.approx(-0.1, abs=1e-9)
-    assert arc(guard_height=0.01, guard_time=0.15)[0] == pytest.approx(-0.1, abs=1e-9)
+def test_underflowing_start_scale_still_steps(cfg):
+    # x' = 3, y' = x from (5e-324, 0): the vertical time scale |y'|/|y''|
+    # underflows to 0, so the start cap holds for no time; the initial step
+    # is then 0 as in scipy for an empty interval, not NaN, and the lane
+    # steps on from the smallest step instead of retrying a NaN one forever
+    field = SmoothField(Poly2.constant(3.0), Poly2({(1, 0): 1.0}))
+    lanes = _Lanes([field], np.array([[5e-324], [0.0]]), [-1.0],
+                   cfg.rel_tol, cfg.abs_tol)
+    cap, span = flow._start_cap(lanes, cfg)
+    assert span[0] == 0.0
+    with np.errstate(all="ignore"):
+        lanes.select_initial_step(span, cap)
+    assert lanes.h[0] == 0.0
     with pytest.raises(NoReturn):
-        arc(guard_height=0.01, guard_time=0.3)
-    with pytest.raises(NotInWindow):
-        arc(guard_height=0.01, guard_time=0.3, window=(-0.15, 0.15))
+        integrate_to_sigma(field, (5e-324, 0.0), "backward",
+                           dataclasses.replace(cfg, max_time=1.0))
 
 
 def test_bad_direction(cfg):
@@ -89,13 +90,15 @@ def test_half_return_symmetric_center(cfg):
         assert half_return(Z, "lower", x, cfg) == pytest.approx(-x, abs=1e-9)
 
 
-ORACLE_XS = [0.2 / 2 ** n for n in range(8)]
+# the last two start just beside the fold at x = 0, where the return is
+# short and low
+ORACLE_XS = [0.2 / 2 ** n for n in range(8)] + [1e-7, 1e-8]
 
 
 @pytest.mark.parametrize("x", ORACLE_XS)
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_half_return_vs_level_set_oracle(cfg, k, x):
-    # the one-lane call and the same abscissa inside a batch of all eight
+    # the one-lane call and the same abscissa inside a batch of all ten
     Z = monodromic_family(k, 1.0)
     batched = displacements(Z, ORACLE_XS, cfg)[ORACLE_XS.index(x)].phi_plus
     oracle = level_set_return(Z.upper, x, -2.0 * x, -1e-4 * x)
@@ -293,7 +296,8 @@ def test_lanes_are_independent(cfg, case):
                  for x in xs]
     assert batch == alone
     assert sum(isinstance(s, tuple) for s in batch) >= 36
-    not_in_window = {"k3-window1": 14, "k3-all-windows": 66}
+    # only the visible windows' 12 + 12 samples escape
+    not_in_window = {"k3-window1": 0, "k3-all-windows": 24}
     if case in not_in_window:
         assert batch.count("NotInWindow") == not_in_window[case]
 

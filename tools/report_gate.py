@@ -11,7 +11,9 @@ cold process per run.  It keeps every report and side file under
 construction: ``timestamp`` and the payload's ``csv``/``svg`` paths.
 
 ``diff`` compares two such trees: it counts the byte-identical files and
-prints the largest numeric difference in each differing JSON file.  It
+prints the largest numeric difference in each differing JSON file, then
+the diagnostic lines (a report's ``diagnostics``, a run's stderr) found on
+one side only, ``-`` for the first tree and ``+`` for the second.  It
 exits 1 when a file exists on one side only, or when an exit code or a
 report ``status`` differs; otherwise 0.
 
@@ -101,6 +103,18 @@ def _max_delta(a, b) -> float:
     return 0.0
 
 
+def _diagnostics(doc) -> dict:
+    """A report's diagnostic lines, or a run record's stderr lines, in
+    order and without repeats."""
+    if not isinstance(doc, dict):
+        return {}
+    payload = doc.get("payload")
+    lines = [*doc.get("diagnostics", []),
+             *(payload.get("diagnostics", []) if isinstance(payload, dict) else []),
+             *str(doc.get("stderr", "")).splitlines()]
+    return dict.fromkeys(str(line) for line in lines)
+
+
 def diff(a: Path, b: Path) -> int:
     rel_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     rel_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -124,6 +138,11 @@ def diff(a: Path, b: Path) -> int:
                 line += f"; {key} {u.get(key)!r} -> {v.get(key)!r}"
                 failed = True
         print(line)
+        left, right = _diagnostics(u), _diagnostics(v)
+        for sign, mine, other in (("-", left, right), ("+", right, left)):
+            for d in mine:
+                if d not in other:
+                    print(f"  {sign} {d}")
     print(f"{same} of {len(rel_a | rel_b)} files byte-identical")
     return 1 if failed else 0
 
