@@ -4,6 +4,11 @@ Every command reads a scenario file, runs the corresponding library
 operation, and writes ``<name>.<command>.json`` (plus CSV/SVG side files
 where applicable) into the scenario's output directory.  Exit codes:
 0 ok, 1 input error, 2 numerical failure, 3 verification mismatch.
+
+Each command imports the layers it needs when it runs: ``classify``,
+``unfold``, ``verify-ladder`` and ``verify-v2-limit`` load neither numpy
+nor :mod:`filippov.flow`, :mod:`filippov.cycles` or
+:mod:`filippov.portrait`; ``verify-lemma1`` loads numpy but no orbit layer.
 """
 
 from __future__ import annotations
@@ -14,10 +19,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .cycles import cycle_census, find_cycles_local, pseudo_hopf_scan
 from .errors import (
     FilippovError,
     InputError,
@@ -26,8 +28,6 @@ from .errors import (
     exit_code,
 )
 from .field import classify_mts
-from .flow import displacements, estimate_lyapunov, write_delta_csv
-from .portrait import render_portrait
 from .record import jsonable
 from .scenario import (
     Scenario,
@@ -47,10 +47,14 @@ from .unfold import (
 
 LEMMA1_GATE = 1e-8
 
-# Random lemma-1 nodes: drawn from (-span, span), at least min_gap from zero
-# and from each other.
+# Random lemma-1 nodes: drawn from [-span, span), at least min_gap from zero
+# and from each other, by rejection.  No more than LAMBDA_CAPACITY such nodes
+# fit.  A draw is accepted with probability 0.81 at k = 2, 2.3e-6 at k = 9
+# and 2.7e-8 at k = 10; LAMBDA_MAX_TRIES ends the search past k = 9.
 LAMBDA_SPAN = 3.0
 LAMBDA_MIN_GAP = 0.2
+LAMBDA_CAPACITY = 2 * int(LAMBDA_SPAN / LAMBDA_MIN_GAP)
+LAMBDA_MAX_TRIES = 10_000_000
 
 
 def _unfold_params(scenario: Scenario):
@@ -60,6 +64,8 @@ def _unfold_params(scenario: Scenario):
 
 
 def _delta_grid(scenario: Scenario, n: int):
+    import numpy as np
+
     w = scenario.window
     return scenario.window.center + np.geomspace(
         w.radius / 300.0, w.radius, n)
@@ -71,6 +77,8 @@ def _cmd_classify(scenario, args):
 
 
 def _cmd_lyapunov(scenario, args):
+    from .flow import estimate_lyapunov
+
     w = scenario.window
     est = estimate_lyapunov(
         scenario.field, (w.radius / 300.0, w.radius), scenario.integrator)
@@ -99,6 +107,8 @@ def _cmd_verify_lemma1(scenario, args):
         raise InputError(f"--seed {args.seed} and --draws {args.draws} must be "
                          f"non-negative and --gate {gate} positive")
     if args.draws > 0:
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         runs = []
@@ -125,13 +135,21 @@ def _cmd_verify_lemma1(scenario, args):
 
 def _random_lambda(rng, k: int):
     n = 2 * k - 2
-    while True:
+    if n > LAMBDA_CAPACITY:
+        raise InputError(
+            f"k={k} needs {n} random nodes, but at most {LAMBDA_CAPACITY} "
+            f"fit in [-{LAMBDA_SPAN:g}, {LAMBDA_SPAN:g}) at gaps of "
+            f"{LAMBDA_MIN_GAP:g}")
+    for _ in range(LAMBDA_MAX_TRIES):
         lam = rng.uniform(-LAMBDA_SPAN, LAMBDA_SPAN, size=n)
         ok = all(abs(a) >= LAMBDA_MIN_GAP for a in lam)
         ok = ok and all(abs(lam[i] - lam[j]) >= LAMBDA_MIN_GAP
                         for i in range(n) for j in range(i + 1, n))
         if ok:
             return [float(a) for a in lam]
+    raise InputError(
+        f"k={k}: no admissible draw of {n} random nodes in "
+        f"{LAMBDA_MAX_TRIES} tries")
 
 
 def _cmd_verify_v2_limit(scenario, args):
@@ -140,6 +158,8 @@ def _cmd_verify_v2_limit(scenario, args):
 
 
 def _cmd_cycles(scenario, args):
+    from .cycles import cycle_census
+
     report = cycle_census(scenario.field, _unfold_params(scenario),
                           scenario.integrator, u_radius=scenario.window.radius)
     status = "ok" if report.passed else "mismatch"
@@ -147,6 +167,8 @@ def _cmd_cycles(scenario, args):
 
 
 def _cmd_scan(scenario, args):
+    from .cycles import pseudo_hopf_scan
+
     if args.b_values:
         try:
             b_values = [float(v) for v in args.b_values]
@@ -171,6 +193,8 @@ def _cmd_scan(scenario, args):
 
 
 def _cmd_delta_dump(scenario, args):
+    from .flow import displacements, write_delta_csv
+
     xs = _delta_grid(scenario, 33)
     samples = displacements(scenario.field, xs, scenario.integrator,
                             base_x=scenario.window.center)
@@ -187,6 +211,9 @@ def _cmd_delta_dump(scenario, args):
 
 
 def _cmd_portrait(scenario, args):
+    from .cycles import find_cycles_local
+    from .portrait import render_portrait
+
     Z = scenario.field
     cycles = []
     if scenario.unfold is not None:

@@ -70,10 +70,6 @@ class DivisionResidual(NumericalError):
     """An exact polynomial division left a residual above tolerance."""
 
 
-class IllConditioned(NumericalError):
-    """Two independent solution routes disagree beyond tolerance."""
-
-
 class NoReturn(NumericalError):
     """An orbit never returned to the switching line within max_time."""
 

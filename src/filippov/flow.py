@@ -32,7 +32,7 @@ import importlib.util
 import math
 import os
 import runpy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .errors import (
 from .field import SIGMA, PiecewiseField, SmoothField
 from .record import Record
 from .roots import brent
+from .scenario import IntegratorConfig  # noqa: F401  (re-exported)
 
 
 def _terms(row) -> tuple:
@@ -92,40 +93,6 @@ _THETAS = tuple((m + 1) / _SCAN_REFINE for m in range(_SCAN_REFINE))
 _CAPPED_SPAN = 0.25
 # Geometric grid size of the Lyapunov fit.
 LYAPUNOV_POINTS = 20
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances for orbit-arc integration.
-
-    They apply per lane: every arc of a batch gets its own step control
-    from ``rel_tol``/``abs_tol``/``max_step`` and runs until its first
-    sign change of ``y`` or ``max_time`` (then :class:`NoReturn`), with no
-    chunks.  ``window``, when set, bounds the abscissa range an arc may
-    visit; escaping it raises :class:`NotInWindow` for that lane only.
-    ``event_tol`` only sets the displacement noise floor, ``10 * event_tol``;
-    crossings are located to a few ulps whatever its value.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-    event_tol: float = 1e-12
-    max_time: float = 50.0
-    window: tuple | None = None
-
-    def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "max_time"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise InputError(
-                    f"integrator option {name}={value} must be positive and finite")
-        if not self.max_step > 0:
-            raise InputError(
-                f"integrator option max_step={self.max_step} must be positive")
-
-    def with_window(self, lo: float, hi: float) -> "IntegratorConfig":
-        return replace(self, window=(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ by a method are declared per class as data.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .poly import Poly1
 
@@ -28,10 +27,14 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, Poly1):
         return obj.to_list()
-    if isinstance(obj, (np.floating, Fraction)):
+    if isinstance(obj, Fraction):
         return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    np = sys.modules.get("numpy")  # a NumPy scalar implies NumPy is loaded
+    if np is not None:
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
     return obj
 
 

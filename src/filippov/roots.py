@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
 # Four ulps: the ``xtol`` and ``rtol`` of every Brent root (polynomial roots,
 # arc crossings) and the ``xrtol`` of the cycles' lockstep Chandrupatla.
 BRENT_TOL = 4 * sys.float_info.epsilon
@@ -78,9 +76,9 @@ def brent(f, a: float, b: float) -> float:
                        f"value is {xcur}")
 
 
-_FINFO = np.finfo(float)
-_XATOL = 4 * _FINFO.smallest_normal
-_MAXITER = math.log2(_FINFO.max) - math.log2(_FINFO.smallest_normal)
+# scipy's defaults for find_root, from the float64 limits.
+_XATOL = 4 * sys.float_info.min
+_MAXITER = math.log2(sys.float_info.max) - math.log2(sys.float_info.min)
 
 
 def chandrupatla(f, lo, hi, fatol: float):
@@ -93,6 +91,8 @@ def chandrupatla(f, lo, hi, fatol: float):
     (converged), -1 (ends of one sign; ``x`` is NaN), -3 (non-finite ends, or
     NaN at both; ``x`` is NaN) or -2 (iterations exhausted), as in scipy.
     """
+    import numpy as np
+
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     active, nit, t = np.arange(x1.size), 0, 0.5
     f1, f2 = (np.asarray(f(x, active), dtype=float) for x in (x1, x2))

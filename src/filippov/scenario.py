@@ -1,7 +1,8 @@
 """Scenario files: the CLI's input format.
 
 A scenario is a JSON document with the four monomial lists of the field,
-optional unfolding parameters, optional integrator overrides, a query
+optional unfolding parameters, optional integrator overrides (an
+:class:`IntegratorConfig`, which :mod:`filippov.flow` re-exports), a query
 window on the switching line, and an output directory.  Polynomials are
 arrays of ``[i, j, coefficient]`` triples; duplicate exponent pairs are
 rejected.
@@ -16,9 +17,42 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .field import SIGMA, PiecewiseField, SmoothField
-from .flow import IntegratorConfig
 from .poly import Poly2
 from .unfold import UnfoldingParams
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Tolerances for orbit-arc integration.
+
+    They apply per lane: every arc of a batch gets its own step control
+    from ``rel_tol``/``abs_tol``/``max_step`` and runs until its first
+    sign change of ``y`` or ``max_time`` (then :class:`NoReturn`), with no
+    chunks.  ``window``, when set, bounds the abscissa range an arc may
+    visit; escaping it raises :class:`NotInWindow` for that lane only.
+    ``event_tol`` only sets the displacement noise floor, ``10 * event_tol``;
+    crossings are located to a few ulps whatever its value.
+    """
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_step: float = math.inf
+    event_tol: float = 1e-12
+    max_time: float = 50.0
+    window: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "event_tol", "max_time"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(
+                    f"integrator option {name}={value} must be positive and finite")
+        if not self.max_step > 0:
+            raise InputError(
+                f"integrator option max_step={self.max_step} must be positive")
+
+    def with_window(self, lo: float, hi: float) -> "IntegratorConfig":
+        return dataclasses.replace(self, window=(lo, hi))
 
 
 @dataclass(frozen=True)

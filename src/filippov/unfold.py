@@ -16,10 +16,10 @@ The interpolation values are
 with the side sign ``sigma`` of :mod:`filippov.field`; equivalently
 ``xi_i = -Y(eps*a_i, 0) / X(eps*a_i, 0)``.
 
-The perturbation is built two ways and cross-checked: a direct linear solve
-of the Vandermonde system in the original coordinates, and Newton divided
-differences through the rescaled node set ``{0} u {a_i}`` (numerically well
-conditioned; its result is the one returned).
+The perturbation is built by Newton divided differences through the
+rescaled node set ``{0} u {a_i}``, which is well conditioned whatever
+``eps``, and is refused when a componentwise forward-error bound on its
+coefficients exceeds :data:`METHOD_AGREEMENT_TOL` relative to their size.
 
 Writing ``c_j(eps) = eps^{2k-1-j} * C_j(eps)`` for the coefficients of the
 perturbation, the values ``C_j(0)`` and ``dC_j/deps(0)`` obey a family of
@@ -31,14 +31,12 @@ rules at each node, and cross-side proportionalities) that
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     FilippovError,
-    IllConditioned,
     InputError,
     InvalidLambda,
     VerificationMismatch,
@@ -62,7 +60,8 @@ from .record import Record
 MIN_NODE = 1e-6
 MIN_GAP = 1e-6
 
-# Disagreement gate between the two interpolation routes.
+# Largest forward-error bound of the perturbation coefficients accepted,
+# relative to the largest coefficient of the same side.
 METHOD_AGREEMENT_TOL = 1e-7
 
 LADDER_RESIDUAL_TOL = 1e-9
@@ -222,11 +221,17 @@ def validate_lambda(lam, k: int) -> None:
                     f"nodes {lam[i]} and {lam[j]} too close together")
 
 
-def newton_through_origin(nodes, values):
+def newton_through_origin(nodes, values, magnitudes: bool = False):
     """Interpolating polynomial through ``(0, 0)`` and ``(nodes, values)``.
 
     Returns ascending monomial coefficients; works over floats or exact
     Fractions.  The constant coefficient is exactly zero by construction.
+
+    With ``magnitudes=True`` the same steps run on absolute values: each
+    difference of values becomes the sum of their magnitudes, each node
+    difference and each node its magnitude.  Given value magnitudes, every
+    quantity of this run bounds the magnitude of its counterpart in the
+    plain run, which makes it the scale of that run's rounding errors.
     """
     xs = [0 * (nodes[0] if nodes else 0)] + list(nodes)
     ys = [0 * (values[0] if values else 0)] + list(values)
@@ -234,7 +239,11 @@ def newton_through_origin(nodes, values):
     table = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
+            gap = xs[i] - xs[i - j]
+            table[i] = ((abs(table[i]) + abs(table[i - 1])) / abs(gap)
+                        if magnitudes else (table[i] - table[i - 1]) / gap)
+    if magnitudes:
+        xs = [-abs(x) for x in xs]
     # expand the Newton form to monomials
     coeffs = [0] * n
     basis = [1]
@@ -250,12 +259,10 @@ def newton_through_origin(nodes, values):
     return coeffs
 
 
-def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
-    """Interpolation values at the nodes ``epsilon * a_i`` for both sides.
-
-    Requires equal tangency orders on the two sides.  The values are
-    evaluated through exact polynomial division, never by forming the raw
-    quotient near the singularity.
+def _xi_parts(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
+    """Per side, ``(s, t1, t2)`` for each node with interpolation value
+    ``s * (t1 + t2)``: ``s = -sigma * delta * epsilon^{2k-1}``,
+    ``t1 = a * a_i^{2k-1}`` and ``t2 = epsilon * a_i^{2k} * f(epsilon * a_i)``.
     """
     if data.k_plus != data.k_minus:
         raise InputError("equal tangency orders on both sides are required")
@@ -266,20 +273,62 @@ def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
                  for (_, sigma, f), a in zip(Z.sides(),
                                              (data.a_plus, data.a_minus))]
     return tuple(
-        [-sigma * delta * common
-         * (a * a_i ** (2 * k - 1)
-            + epsilon * a_i ** (2 * k) * (q(epsilon * a_i) / x(epsilon * a_i)))
+        [(-sigma * delta * common, a * a_i ** (2 * k - 1),
+          epsilon * a_i ** (2 * k) * (q(epsilon * a_i) / x(epsilon * a_i)))
          for a_i in lam]
         for sigma, a, q, x in quotients)
+
+
+def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
+    """Interpolation values at the nodes ``epsilon * a_i`` for both sides.
+
+    Requires equal tangency orders on the two sides.  The values are
+    evaluated through exact polynomial division, never by forming the raw
+    quotient near the singularity.
+    """
+    return tuple([s * (t1 + t2) for s, t1, t2 in side]
+                 for side in _xi_parts(Z, data, lam, epsilon))
+
+
+def _coefficients_and_bounds(Z: PiecewiseField, data: MonodromyData, lam,
+                             eps: float):
+    """Per side: the coefficients ``c_1 .. c_n`` of the perturbation,
+    bounds ``e_j`` on their rounding errors, and the least value size.
+
+    ``s_m = |s| * (|t1| + |t2|)`` sizes each value by its terms
+    (:func:`_xi_parts`), so that cancellation inside it is covered, and
+    ``e_j = gamma * R_j / eps^j`` with ``R`` the interpolation run on the
+    sizes (``magnitudes=True``): to first order, an error is at most ``u``
+    times the roundings on the longest path times the run on absolute
+    values (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., SIAM 2002, sections 3.1 and 22.3).  With ``m = 2k - 1`` points
+    that path has about ``6 m + 7`` roundings; ``gamma = 10 m u``.  A size
+    below the least normal float means that a value underflowed.
+    """
+    n = len(lam)
+    gamma = 10 * (n + 1) * sys.float_info.epsilon / 2
+    scales = [eps ** j for j in range(1, n + 1)]
+    out = []
+    for parts in _xi_parts(Z, data, lam, eps):
+        xi = [s * (t1 + t2) for s, t1, t2 in parts]
+        size = [abs(s) * (abs(t1) + abs(t2)) for s, t1, t2 in parts]
+        full = newton_through_origin(lam, xi)
+        reach = newton_through_origin(lam, size, magnitudes=True)
+        out.append(([full[j] / scales[j - 1] for j in range(1, n + 1)],
+                    [gamma * reach[j] / scales[j - 1] for j in range(1, n + 1)],
+                    min(size)))
+    return out
 
 
 def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
                        data: MonodromyData | None = None) -> PerturbationPolys:
     """Construct the two perturbation polynomials for the given parameters.
 
-    Solved twice (direct Vandermonde solve; rescaled Newton interpolation
-    through the augmented node set) and cross-checked; the Newton result is
-    returned.
+    Newton interpolation through the rescaled nodes ``{0} u {a_i}``; the
+    result is refused with :class:`InputError` when ``epsilon`` drives it
+    out of the float range, rounds a whole side to zero, or leaves a
+    forward-error bound above :data:`METHOD_AGREEMENT_TOL` times the
+    side's largest coefficient (see :func:`_coefficients_and_bounds`).
     """
     if data is None:
         data = classify_mts(Z)
@@ -297,34 +346,29 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
 
     eps = float(params.epsilon)
     lam = [float(a) for a in params.lam]
-
-    n = 2 * k - 2
-    nodes = np.array(lam) * eps
-    powers = np.arange(1, n + 1)
-
-    sides = []
+    too = f"epsilon={eps:g} is too {'large' if eps > 1 else 'small'}"
+    out_of_range = InputError(f"{too}: the perturbation leaves the float range")
     try:
-        with np.errstate(over="raise", under="raise"):
-            H = nodes[:, None] ** powers[None, :]
-        with np.errstate(over="raise"):
-            for xi in xi_values(Z, data, lam, eps):
-                xv = np.array([float(v) for v in xi])
-                direct = np.linalg.solve(H, xv)
-                full = newton_through_origin(lam, [float(v) for v in xi])
-                rescaled = np.array([full[j] / eps**j for j in range(1, n + 1)])
-                gap = float(np.linalg.norm(direct - rescaled))
-                if gap > METHOD_AGREEMENT_TOL:
-                    raise IllConditioned(
-                        f"interpolation routes disagree by {gap:.3e} "
-                        "in coefficient norm")
-                sides.append(Poly1([0.0, *rescaled]))
-        norms = sides[0].norm(), sides[1].norm()
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise InputError(
-            f"epsilon={eps:g} is too {'large' if eps > 1 else 'small'}: the "
-            "perturbation leaves the float range") from exc
-
-    return PerturbationPolys(p_plus=sides[0], p_minus=sides[1],
+        sides = _coefficients_and_bounds(Z, data, lam, eps)
+        polys = [Poly1([0.0, *coeffs]) for coeffs, _, _ in sides]
+        norms = [p.norm() for p in polys]
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise out_of_range from exc
+    for (name, _, _), (coeffs, bounds, least), p, norm in zip(
+            Z.sides(), sides, polys, norms):
+        if (least < sys.float_info.min
+                or not all(map(math.isfinite, [*coeffs, *bounds, norm]))):
+            raise out_of_range
+        if p.is_zero():
+            raise InputError(
+                f"{too}: every perturbation coefficient of the {name} side "
+                "rounds to zero")
+        error = max(bounds) / p.max_abs_coeff()
+        if error > METHOD_AGREEMENT_TOL:
+            raise InputError(
+                f"{too}: the perturbation coefficients carry a relative "
+                f"error up to {error:.3e}")
+    return PerturbationPolys(p_plus=polys[0], p_minus=polys[1],
                              norm_plus=norms[0], norm_minus=norms[1])
 
 
@@ -459,6 +503,8 @@ def _rescaled_coefficient_curves(Z, k, lam):
     """``C_j(eps)`` sampled on the grid ``{h, h/2, h/4}`` with
     ``h = LEMMA1_STEP``, then the value and first derivative at zero from the
     quadratic through the samples."""
+    import numpy as np
+
     data = classify_mts(Z)
     h = LEMMA1_STEP
     eps_grid = [h, h / 2, h / 4]
@@ -614,6 +660,13 @@ def lemma1_check(Z: PiecewiseField, k: int, lam,
         cross_side_residuals=cross_max, mode=mode)
 
 
+def _slope(xs, ys) -> float:
+    """Least-squares slope of the line through the points ``(xs, ys)``."""
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
 def local_V2_limit_check(Z: PiecewiseField,
                          params: UnfoldingParams) -> V2LimitReport:
     """Convergence of the per-contact ``V2`` toward ``(2k+1)/3 * V2``.
@@ -650,9 +703,8 @@ def local_V2_limit_check(Z: PiecewiseField,
             abscissas.append(eps * a_i)
             values.append(v)
             errors.append(abs(v - limit))
-        le = np.log(np.maximum(errors, 1e-14))
-        lx = np.log(eps_grid)
-        order = float(np.polyfit(lx, le, 1)[0])
+        order = _slope([math.log(e) for e in eps_grid],
+                       [math.log(max(e, 1e-14)) for e in errors])
         rows.append(V2LimitRow(
             index=index, a_i=a_i, abscissas=abscissas, values=values,
             errors=errors, fitted_order=order,

@@ -303,6 +303,122 @@ def test_arc_commands_do_not_load_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
+_NO_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+import filippov, filippov.cli
+from filippov.cli import main
+scenarios, out = sys.argv[1:]
+runs = [(name, "classify") for name in
+        ("c3-violation", "four-fold-c1", "six-fold-c1", "two-fold-c1")]
+runs += [(name, command) for name in ("four-fold-c1", "six-fold-c1")
+         for command in ("unfold", "verify-ladder", "verify-v2-limit")]
+codes = [main([command, "--config", f"{scenarios}/{name}.json", "--out", out])
+         for name, command in runs]
+orbit = sorted(m for m in sys.modules
+               if m in ("filippov.flow", "filippov.cycles", "filippov.portrait"))
+print(json.dumps({"runs": runs, "codes": codes, "orbit": orbit}))
+"""
+
+
+def _reports_without_timestamps(out: Path) -> dict:
+    docs = {}
+    for path in sorted(out.glob("*.json")):
+        doc = json.loads(path.read_text())
+        doc.pop("timestamp")
+        docs[path.name] = doc
+    return docs
+
+
+def test_algebraic_commands_run_without_numpy(tmp_path):
+    """With numpy unimportable, ``classify``, ``unfold``, ``verify-ladder``
+    and ``verify-v2-limit`` exit and report as in a normal run, and load
+    none of the orbit layers."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY, str(ROOT / "scenarios"),
+         str(tmp_path / "blocked")],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["orbit"] == []
+    normal = [main([command, "--config", str(ROOT / "scenarios" / f"{name}.json"),
+                    "--out", str(tmp_path / "normal")])
+              for name, command in result["runs"]]
+    assert result["codes"] == normal
+    assert normal == [1, 0, 0, 0] + [0] * 6
+    blocked = _reports_without_timestamps(tmp_path / "blocked")
+    assert len(blocked) == len(result["runs"])
+    assert blocked == _reports_without_timestamps(tmp_path / "normal")
+
+
+_LEMMA1_MODULES = """
+import sys
+from filippov.cli import main
+code = main(["verify-lemma1", "--config", sys.argv[1], "--out", sys.argv[2],
+             "--draws", "2"])
+print(code, "numpy" in sys.modules, sorted(
+    m for m in sys.modules
+    if m in ("filippov.flow", "filippov.cycles", "filippov.portrait")))
+"""
+
+
+def test_lemma1_draws_load_numpy_but_no_orbit_layer(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEMMA1_MODULES,
+         str(ROOT / "scenarios" / "four-fold-c1.json"), str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True []"
+
+
+@pytest.mark.parametrize("name, epsilon, code", [
+    ("four-fold-c1", 1e6, 0),
+    ("four-fold-c1", 1e-8, 1),
+    ("four-fold-c1", 1e8, 1),
+    ("six-fold-c1", 1e3, 0),
+])
+def test_unfold_epsilon_gate(tmp_path, name, epsilon, code):
+    """The forward-error gate accepts a large epsilon while the coefficients
+    stay accurate, and refuses one whose coefficients round to zero or lose
+    more than ``METHOD_AGREEMENT_TOL`` of their size."""
+    assert main(["unfold", "--config", str(ROOT / "scenarios" / f"{name}.json"),
+                 "--out", str(tmp_path), "--epsilon", repr(epsilon)]) == code
+    report = json.loads((tmp_path / f"{name}.unfold.json").read_text())
+    assert report["status"] == ("ok" if code == 0 else "error")
+    if name == "four-fold-c1" and code == 0:
+        # the closed form of acceptance criterion 3 with c = 1
+        e2 = epsilon ** 2
+        for got, want in ((report["payload"]["p_plus"], [0.0, e2, -e2]),
+                          (report["payload"]["p_minus"], [0.0, -e2, 0.0])):
+            got = got + [0.0] * (3 - len(got))
+            assert all(abs(g - w) <= 1e-9 * e2 for g, w in zip(got, want))
+
+
+def test_lemma1_draws_that_cannot_fit_exit_one(scenario_path, tmp_path):
+    """k = 17 needs 32 random nodes, more than fit at the draw's gaps: an
+    input error naming k, at once, with a report written."""
+    unfold = {"k": 17, "lambda": [-1.0] + [0.5 * i for i in range(1, 32)],
+              "epsilon": 0.1}
+    path = scenario_path(family_doc("k17", 17, 1.0, unfold=unfold))
+    assert main(["verify-lemma1", "--config", path, "--draws", "1"]) == 1
+    report = json.loads((tmp_path / "out" / "k17.verify-lemma1.json").read_text())
+    assert report["status"] == "error"
+    assert "k=17" in report["diagnostics"][0]
+
+
+def test_lemma1_draws_give_up_after_the_attempt_cap(monkeypatch):
+    """k = 15 fits on paper, but a rejection draw of its 28 nodes succeeds
+    with probability 1.8e-34: the search ends at the attempt cap (lowered
+    here so that the test runs fast) in an input error naming k."""
+    import numpy as np
+
+    import filippov.cli
+
+    monkeypatch.setattr(filippov.cli, "LAMBDA_MAX_TRIES", 1000)
+    with pytest.raises(InputError, match="k=15: no admissible draw"):
+        filippov.cli._random_lambda(np.random.default_rng(0), 15)
+
+
 def test_shipped_scenarios_parse():
     import pathlib
     root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"

@@ -2,7 +2,9 @@
 JSON reports depend on these exact names."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from filippov import (
@@ -19,6 +21,7 @@ from filippov import (
 from filippov.cycles import CensusReport, LimitCycle, ScanRow, ScanTable
 from filippov.field import SigmaSegment
 from filippov.flow import LyapunovEstimate
+from filippov.record import jsonable
 
 PARAMS = UnfoldingParams(k=2, lam=(-1.0, 1.0), epsilon=0.1)
 Z = monodromic_family(2, 1.0)
@@ -97,3 +100,11 @@ def test_report_keys_pinned(name):
     if name == "LimitCycle":
         assert sorted(doc["enclosed_segment"]) == [
             "endpoints", "kind", "x_hi", "x_lo"]
+
+
+def test_jsonable_converts_numpy_scalars_and_fractions():
+    doc = jsonable({"f": np.float32(0.5), "i": np.int64(7),
+                    "q": [Fraction(1, 4)], "x": 2})
+    assert doc == {"f": 0.5, "i": 7, "q": [0.25], "x": 2}
+    assert [type(doc[k]) for k in ("f", "i", "x")] == [float, int, int]
+    assert type(doc["q"][0]) is float

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filippov import (
     UnfoldingParams,
@@ -21,7 +22,11 @@ from filippov import (
 )
 from filippov.errors import InputError, InvalidLambda, VerificationMismatch
 from filippov.poly import Poly1
-from filippov.unfold import newton_through_origin
+from filippov.unfold import (
+    _coefficients_and_bounds,
+    _exactify_field,
+    newton_through_origin,
+)
 
 
 def params_for(k, lam, eps, **kw):
@@ -147,6 +152,36 @@ def test_methods_agree_across_scales():
             direct = np.linalg.solve(H, np.array(xi_p))
             newton = np.array([polys.p_plus.coeff(j) for j in range(1, n + 1)])
             assert float(np.linalg.norm(direct - newton)) < 1e-9
+
+
+@st.composite
+def _ordered_lambda(draw, k):
+    """``a_1 < 0 < a_2 < ... < a_{2k-2}`` with gaps of at least 0.2."""
+    gap = st.floats(0.2, 1.5)
+    lam = [-draw(gap)]
+    for _ in range(2 * k - 3):
+        lam.append((lam[-1] if len(lam) > 1 else 0.0) + draw(gap))
+    return lam
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(
+           lambda k: st.tuples(st.just(k), _ordered_lambda(k))),
+       st.floats(0.25, 3.0), st.floats(-6.0, 10.0))
+def test_error_bound_covers_the_exact_solve(k_lam, c, log_eps):
+    """The forward-error bound of every perturbation coefficient is never
+    below its distance from the exact rational solve of the same floats."""
+    k, lam = k_lam
+    eps = 10.0 ** log_eps
+    Z = monodromic_family(k, c)
+    sides = _coefficients_and_bounds(Z, classify_mts(Z), lam, eps)
+    Zx = _exactify_field(Z)
+    lam_x, eps_x = [Fraction(a) for a in lam], Fraction(eps)
+    exact = xi_values(Zx, classify_mts(Zx), lam_x, eps_x)
+    for (coeffs, bounds, _), xi in zip(sides, exact):
+        full = newton_through_origin(lam_x, xi)
+        for j, (got, bound) in enumerate(zip(coeffs, bounds), start=1):
+            assert abs(Fraction(got) - full[j] / eps_x ** j) <= Fraction(bound)
 
 
 def test_vandermonde_inverse_cross_check():
