@@ -41,8 +41,8 @@ from .systems import cross_coupled_system, family_V2, monodromic_family  # noqa:
 # Export name -> the submodule it is imported from on first access.
 _ON_DEMAND = {
     **dict.fromkeys(("LyapunovEstimate", "ReturnSample", "displacement",
-                     "displacements", "estimate_lyapunov", "half_return",
-                     "integrate_to_sigma"), "flow"),
+                     "displacements", "estimate_lyapunov", "half_arcs",
+                     "half_return", "integrate_to_sigma"), "flow"),
     **dict.fromkeys(("CensusReport", "LimitCycle", "PseudoHopfPrediction",
                      "amplitude_prediction", "cycle_census",
                      "cycle_producing_sign", "find_cycles_local",

@@ -36,8 +36,8 @@ from .roots import chandrupatla
 from .unfold import (
     UnfoldingParams,
     apply_shift,
+    census_data,
     expected_invisible_indices,
-    require_order,
     unfolded_shifted,
 )
 
@@ -97,18 +97,17 @@ def cycle_producing_sign(delta: int, V2: float, convention: str) -> int:
     """Sign of ``b`` that creates cycles, resolved per shift convention.
 
     With the ``minus`` convention (upper field composed with ``x - b``) the
-    producing sign is ``-sign(delta * V2)``; the ``plus`` convention flips
-    it.  Resolved empirically on the canonical families; scans assert the
+    producing sign is the amplitude law's ``mu = -sign(delta * V2)`` (see
+    :class:`PseudoHopfPrediction`); the ``plus`` convention flips it.
+    Resolved empirically on the canonical families; scans assert the
     dichotomy rather than assuming it.
     """
-    if V2 == 0:
-        raise InputError("sign is undefined for a vanishing coefficient")
-    base = -1 if delta * V2 > 0 else 1
+    mu = PseudoHopfPrediction.from_coefficient(delta, V2).mu
     if convention == "plus":
-        base = -base
+        mu = -mu
     elif convention != "minus":
         raise InputError(f"unknown shift convention {convention!r}")
-    return base
+    return mu
 
 
 @dataclass(frozen=True)
@@ -321,14 +320,8 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     ``V2``, each enclosing a single sliding segment, pairwise disjoint on
     the switching line.
     """
-    data = classify_mts(Z)
     k = params.k
-    require_order(data, k)
-    V2 = float(data.V2)
-    if abs(V2) < 1e-12:
-        raise InputError("the second displacement coefficient vanishes")
-    if k >= 2 and not params.is_ordered():
-        raise InputError("ordered nodes a1 < 0 < a2 < ... are required")
+    data, V2, limit = census_data(Z, params)
     b = params.b
     _, Zb = unfolded_shifted(Z, params, data)
 
@@ -340,8 +333,7 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     else:
         radius = u_radius if math.isfinite(u_radius) else 0.3
 
-    v2_local = (2 * k + 1) / 3.0 * V2 if k >= 2 else V2
-    prediction = PseudoHopfPrediction.from_coefficient(data.delta, v2_local)
+    prediction = PseudoHopfPrediction.from_coefficient(data.delta, limit)
     if b != 0 and prediction.mu * b > 0:
         predicted = amplitude_prediction(prediction, b)
         if predicted >= radius / 2.0:
@@ -465,6 +457,9 @@ def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,
     from the fitted leading coefficient.
     """
     data = classify_mts(Z)
+    # Absolute floor in units of 1/length (delta ~ V2 * x^2), set for O(1)
+    # windows: at or below it V2 counts as zero and the leading coefficient
+    # is fitted from the displacement instead (estimate_lyapunov).
     if abs(float(data.V2)) > 1e-9:
         prediction = PseudoHopfPrediction.from_coefficient(
             data.delta, float(data.V2), ell=1)

@@ -403,11 +403,15 @@ def integrate_to_sigma(field: SmoothField, start, direction: str,
     return _one(_arcs([field], [start], [sgn], [cfg.window], cfg)[0])
 
 
-def _half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
-    """:func:`half_arc` (or, with ``returns``, :func:`half_return`) per lane
-    ``(field, sigma, x, window)``: the arc of the smooth field through
-    ``(x, 0)`` into side ``sigma``'s half-plane, bounded by ``window``, all
-    in one batch; a result or an error per lane."""
+def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
+    """One-sided orbit arcs as one batch, one per lane ``(field, sigma, x,
+    window)``: the arc of the smooth field through ``(x, 0)`` into side
+    ``sigma``'s half-plane, forward in time where ``sigma * Y(x, 0) > 0``,
+    backward otherwise, bounded by ``window`` (None for unbounded).  Per
+    lane: ``(x_return, trajectory)`` as :func:`integrate_to_sigma` gives
+    it, or with ``returns`` the return abscissa alone (see
+    :func:`half_return`), or the :class:`FilippovError` that ended the
+    lane (a tangency start is an :class:`InputError`)."""
     out: list = [None] * len(lanes)
     moving, signs = [], []
     for n, (field, sigma, x, _) in enumerate(lanes):
@@ -428,26 +432,15 @@ def _half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
     return out
 
 
-def half_arc(Z: PiecewiseField, side: str, x: float, cfg: IntegratorConfig):
-    """One-sided orbit arc through ``(x, 0)`` into the side's half-plane.
-
-    The arc is integrated forward in time when the field at ``(x, 0)``
-    points into the half-plane (``sigma * Y(x, 0) > 0``), backward otherwise.
-    Returns ``(x_return, trajectory)`` as :func:`integrate_to_sigma` does; a
-    tangency start raises :class:`InputError`.
-    """
-    return _one(_half_arcs([(Z.side(side), SIGMA[side], x, cfg.window)], cfg)[0])
-
-
 def half_return(Z: PiecewiseField, side: str, x: float,
                 cfg: IntegratorConfig) -> float:
     """Other endpoint of the one-sided orbit arc through ``(x, 0)``.
 
     By continuity the map fixes the singularity itself, so ``x = 0`` with a
-    vanishing vertical component returns 0; elsewhere see :func:`half_arc`.
+    vanishing vertical component returns 0; elsewhere see :func:`half_arcs`.
     """
-    return _one(_half_arcs([(Z.side(side), SIGMA[side], x, cfg.window)], cfg,
-                           returns=True)[0])
+    return _one(half_arcs([(Z.side(side), SIGMA[side], x, cfg.window)], cfg,
+                          returns=True)[0])
 
 
 def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,
@@ -472,9 +465,9 @@ def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,
         f"upper horizontal component vanishes at base {base}")
         for u, base in zip(orient, bases)]
     pending = [n for n, s in enumerate(out) if s is None]
-    returns = _half_arcs([(field, sigma, xs[n], windows[n]) for n in pending
-                          for _, sigma, field in fields[n].sides()],  # upper, lower
-                         cfg, returns=True)
+    returns = half_arcs([(field, sigma, xs[n], windows[n]) for n in pending
+                         for _, sigma, field in fields[n].sides()],  # upper, lower
+                        cfg, returns=True)
     for n, pp, pm in zip(pending, returns[::2], returns[1::2]):
         failed = [r for r in (pp, pm) if isinstance(r, FilippovError)]
         delta = 1.0 if orient[n] > 0 else -1.0

@@ -167,10 +167,7 @@ class Poly2:
         return Poly2(out)
 
     def __sub__(self, other: "Poly2") -> "Poly2":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return Poly2(out)
+        return self + -other
 
     def __neg__(self) -> "Poly2":
         return Poly2({key: -c for key, c in self.terms.items()})
@@ -285,8 +282,7 @@ class Poly1:
         return Poly1([self.coeff(m) + other.coeff(m) for m in range(n)])
 
     def __sub__(self, other: "Poly1") -> "Poly1":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly1([self.coeff(m) - other.coeff(m) for m in range(n)])
+        return self + -other
 
     def __neg__(self) -> "Poly1":
         return Poly1([-c for c in self.coeffs])

@@ -90,17 +90,14 @@ class UnfoldingParams:
             raise InputError(
                 f"unknown shift convention {self.shift_convention!r}")
 
-    def is_ordered(self) -> bool:
-        """True when ``a_1 < 0 < a_2 < ... < a_{2k-2}``."""
+    def require_ordered(self) -> None:
+        """Raise :class:`InvalidLambda` unless ``a_1 < 0 < a_2 < ... <
+        a_{2k-2}``; nothing is required for ``k < 2`` or empty nodes."""
         lam = self.lam
-        if not lam:
-            return True
-        if not lam[0] < 0:
-            return False
-        rest = lam[1:]
-        if any(a <= 0 for a in rest):
-            return False
-        return all(u < v for u, v in zip(rest, rest[1:]))
+        rest = (0, *lam[1:])
+        if self.k >= 2 and lam and not (
+                lam[0] < 0 and all(u < v for u, v in zip(rest, rest[1:]))):
+            raise InvalidLambda("ordered nodes a1 < 0 < a2 < ... are required")
 
 
 @dataclass(frozen=True)
@@ -427,6 +424,25 @@ def require_order(data: MonodromyData, k: int) -> None:
             f"field has orders ({data.k_plus}, {data.k_minus}), expected k={k}")
 
 
+def census_data(Z: PiecewiseField, params: UnfoldingParams):
+    """``(data, V2, limit)`` of a field whose unfolding is searched for cycles.
+
+    Classifies ``Z`` and requires order ``params.k``, a nonzero ``V2`` and
+    ordered nodes, in that order.  ``limit = (2k+1)/3 * V2`` is the value
+    that the local ``V2`` of every invisible contact tends to; at ``k = 1``
+    the factor is exactly 1.
+    """
+    data = classify_mts(Z)
+    require_order(data, params.k)
+    V2 = float(data.V2)
+    # Absolute floor in units of 1/length (delta ~ V2 * x^2), set for
+    # fields whose singularity has an O(1) neighbourhood.
+    if abs(V2) < 1e-12:
+        raise InputError("the second displacement coefficient vanishes")
+    params.require_ordered()
+    return data, V2, (2 * params.k + 1) / 3.0 * V2
+
+
 def expected_invisible_indices(k: int) -> set:
     """Contact indices that are invisible when the nodes are ordered.
 
@@ -450,9 +466,7 @@ def verify_contact_ladder(Z_unfolded: PiecewiseField,
     nodes.  Raises :class:`VerificationMismatch` listing failing abscissas.
     """
     k = params.k
-    if k >= 2 and not params.is_ordered():
-        raise InvalidLambda(
-            "the visibility pattern is only predicted for a1 < 0 < a2 < ...")
+    params.require_ordered()
     invisible = expected_invisible_indices(k)
     points = [(0, 0.0)] + [
         (i + 1, params.epsilon * float(a)) for i, a in enumerate(params.lam)]
@@ -677,18 +691,10 @@ def local_V2_limit_check(Z: PiecewiseField,
     against the limit must decay with fitted order at least
     :data:`V2_LIMIT_MIN_ORDER`.
     """
-    data = classify_mts(Z)
     k = params.k
-    require_order(data, k)
+    data, V2, limit = census_data(Z, params)
     if k < 2:
         raise InputError("the limit check needs an actual unfolding (k >= 2)")
-    V2 = float(data.V2)
-    if abs(V2) < 1e-12:
-        raise InputError("the second displacement coefficient vanishes")
-    if not params.is_ordered():
-        raise InvalidLambda("ordered nodes a1 < 0 < a2 < ... are required")
-
-    limit = (2 * k + 1) / 3.0 * V2
     eps_grid = [params.epsilon * f for f in V2_LIMIT_EPS_FACTORS]
     unfolded = []  # per epsilon, built on first use
     rows = []

@@ -264,10 +264,10 @@ def test_lanes_are_independent(cfg, case):
     if case == "mixed-fields":
         lanes = _mixed_field_lanes()
         assert len({id(field) for field, _, _, _ in lanes}) == 14
-        batch = [_arc_outcome(a) for a in flow._half_arcs(lanes, cfg)]
-        alone = [_arc_outcome(flow._half_arcs([lane], cfg)[0]) for lane in lanes]
+        batch = [_arc_outcome(a) for a in flow.half_arcs(lanes, cfg)]
+        alone = [_arc_outcome(flow.half_arcs([lane], cfg)[0]) for lane in lanes]
         # lanes that keep no path return the same crossings, bit for bit
-        returns = flow._half_arcs(lanes, cfg, returns=True)
+        returns = flow.half_arcs(lanes, cfg, returns=True)
         assert [_arc_outcome(r) for r in returns] == [
             a if isinstance(a, str) else a[0] for a in batch]
     elif case == "k3-all-windows":

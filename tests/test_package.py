@@ -2,6 +2,11 @@
 name resolves to the object its defining module holds."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,7 @@ EXPORTS = {
               "sigma_regions"),
     "flow": ("IntegratorConfig", "LyapunovEstimate", "ReturnSample",
              "displacement", "displacements", "estimate_lyapunov",
-             "half_return", "integrate_to_sigma"),
+             "half_arcs", "half_return", "integrate_to_sigma"),
     "poly": ("Poly1", "Poly2"),
     "unfold": ("PerturbationPolys", "UnfoldingParams", "apply_shift",
                "build_perturbation", "build_unfolded", "lemma1_check",
@@ -43,3 +48,41 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_export"):
         filippov.no_such_export  # noqa: B018
     assert not hasattr(filippov, "no_such_export")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Binds the bench tracer to the loaded layers and unbinds it again.  Run in
+# a subprocess: install() wraps ``flow.solve_ivp``, which imports
+# scipy.integrate, and other tests pin that no scipy module is loaded.
+_TRACER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import filippov.cycles, filippov.flow, filippov.portrait
+from tracer import SPANS, Tracer
+before = {key: getattr(sys.modules[key[0]], key[1]) for key in SPANS}
+missing = [".".join(key) for key, fn in before.items() if not callable(fn)]
+tracer = Tracer()
+tracer.install()
+wrapped = sorted(".".join(key) for key, fn in before.items()
+                 if getattr(sys.modules[key[0]], key[1]) is not fn)
+tracer.remove()
+restored = all(getattr(sys.modules[key[0]], key[1]) is fn
+               for key, fn in before.items())
+print(json.dumps({"missing": missing, "wrapped": wrapped, "n": len(SPANS),
+                  "restored": restored}))
+"""
+
+
+def test_bench_tracer_binds_every_span():
+    """Every function that ``bench/tracer.py`` traces still exists under its
+    name, is wrapped by ``install()`` and restored by ``remove()``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _TRACER, str(ROOT / "bench")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["missing"] == []
+    assert len(got["wrapped"]) == got["n"]
+    assert got["restored"]

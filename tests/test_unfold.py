@@ -20,7 +20,12 @@ from filippov import (
     verify_contact_ladder,
     xi_values,
 )
-from filippov.errors import InputError, InvalidLambda, VerificationMismatch
+from filippov.errors import (
+    InputError,
+    InvalidLambda,
+    NotMonodromic,
+    VerificationMismatch,
+)
 from filippov.poly import Poly1
 from filippov.unfold import (
     _coefficients_and_bounds,
@@ -367,11 +372,23 @@ def test_ladder_mismatch_on_wrong_field():
     assert not err.value.report.ok
 
 
-def test_ladder_requires_ordered_nodes():
+@pytest.mark.parametrize("check", ["ladder", "v2-limit", "census"])
+def test_unordered_nodes_raise_invalid_lambda(check):
+    # the three verifiers that need a1 < 0 < a2 < ... share one check,
+    # error class and message
+    from filippov import IntegratorConfig, cycle_census
+
     Z = monodromic_family(2, 1.0)
     params = params_for(2, (1.0, -1.0), 0.1)
-    with pytest.raises(InvalidLambda):
-        verify_contact_ladder(Z, params)
+    run = {
+        "ladder": lambda: verify_contact_ladder(
+            build_unfolded(Z, build_perturbation(Z, params)), params),
+        "v2-limit": lambda: local_V2_limit_check(Z, params),
+        "census": lambda: cycle_census(Z, params, IntegratorConfig()),
+    }[check]
+    with pytest.raises(InvalidLambda,
+                       match=r"ordered nodes a1 < 0 < a2 < \.\.\. are required"):
+        run()
 
 
 def test_ladder_propagates_programming_errors(monkeypatch):
@@ -462,6 +479,16 @@ def test_v2_limit_order_three_value():
     assert rep.ok
     assert rep.limit == pytest.approx((7.0 / 3.0) * (2.0 / 7.0), abs=1e-12)
     assert sorted(r.index for r in rep.rows) == [1, 2, 4]
+
+
+@pytest.mark.xfail(raises=NotMonodromic, strict=True, reason=(
+    "known defect: at eps/4 = 0.0075 contacts 2 and 4 have slope about "
+    "-7.5e-12, below the absolute floor of field._coeff_tol, and are "
+    "classified as multiplicity 3"))
+def test_v2_limit_order_four_at_census_epsilon():
+    rep = local_V2_limit_check(monodromic_family(4, 1.0),
+                               params_for(4, (-1, 1, 2, 3, 4, 5), 0.03))
+    assert rep.ok
 
 
 def test_v2_limit_rejects_center():
