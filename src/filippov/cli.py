@@ -215,15 +215,14 @@ def _cmd_portrait(scenario, args):
     from .portrait import render_portrait
 
     Z = scenario.field
-    cycles = []
+    cycles, diagnostics = [], []
     if scenario.unfold is not None:
         params = scenario.unfold
         _, Z = unfolded_shifted(Z, params)
         if params.b != 0:
-            diags: list = []
             cycles = find_cycles_local(
                 Z, scenario.window.center, scenario.window.radius,
-                params.b, scenario.integrator, diags)
+                params.b, scenario.integrator, diagnostics)
     out_dir = _out_dir(scenario)
     svg = out_dir / f"{scenario.name}.portrait.svg"
     csv = out_dir / f"{scenario.name}.portrait.csv"
@@ -232,7 +231,7 @@ def _cmd_portrait(scenario, args):
         scenario.integrator, cycles=cycles, svg_path=svg, csv_path=csv)
     summary["svg"] = str(svg)
     summary["csv"] = str(csv)
-    return summary, "ok", []
+    return summary, "ok", diagnostics
 
 
 def _out_dir(scenario: Scenario) -> Path:

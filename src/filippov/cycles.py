@@ -191,7 +191,7 @@ def _refine_windows(windows, cfg, diagnostics) -> list:
     for w, (window, plan) in enumerate(zip(windows, plans)):
         values = _values(window, plan)
         valid = [abs(v) for v in values if v is not None]
-        if not valid or max(valid) < 10.0 * cfg.event_tol:
+        if not valid or max(valid) < cfg.noise_floor:
             plan.append(f"window {window.center:+.6g}: " + (
                 "displacement below noise (center)" if valid
                 else "no displacement sample succeeded"))
@@ -374,8 +374,8 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
 
 
 class _Window(NamedTuple):
-    """A window of the field ``Z`` shifted by ``b``: its grid, its samples
-    (each a :class:`ReturnSample` or a :class:`FilippovError`) and config."""
+    """A window of the field ``Z`` shifted by ``b``: its grid and its
+    samples (each a :class:`ReturnSample` or a :class:`FilippovError`)."""
 
     Z: PiecewiseField
     b: float
@@ -383,7 +383,6 @@ class _Window(NamedTuple):
     radius: float
     grid: np.ndarray
     samples: list
-    cfg: IntegratorConfig
 
 
 def _sample_windows(specs, cfg) -> list:
@@ -391,9 +390,7 @@ def _sample_windows(specs, cfg) -> list:
     every window ``(Z, b, center, radius, u_lo, n)`` in ``specs``, as one
     batch (see :func:`_fill`).  One :class:`_Window` per spec, in order."""
     windows = [_Window(Z, b, center, radius,
-                       center + np.geomspace(u_lo, radius, n), [],
-                       cfg.with_window(center - 2.5 * radius,
-                                       center + 2.5 * radius))
+                       center + np.geomspace(u_lo, radius, n), [])
                for Z, b, center, radius, u_lo, n in specs]
     memo: dict = {}
     points = [[(w, x) for x in window.grid.tolist()]
@@ -410,7 +407,9 @@ def _fill(windows, points, memo: dict, cfg) -> None:
     at = [windows[w] for w, _ in todo]
     memo.update(zip(todo, displacements(
         [w.Z for w in at], [x for _, x in todo], cfg,
-        base_x=[w.center for w in at], windows=[w.cfg.window for w in at])))
+        base_x=[w.center for w in at],
+        windows=[(w.center - 2.5 * w.radius, w.center + 2.5 * w.radius)
+                 for w in at])))
 
 
 def _values(window: _Window, diagnostics: list) -> list:
@@ -435,9 +434,9 @@ def _sign_changes(window: _Window, cfg, diagnostics) -> bool:
         diagnostics.append(
             f"visible window {window.center:+.6g}: no sample succeeded, the "
             "sign check had no data")
-    noise = 10.0 * cfg.event_tol
     hit = any(v0 is not None and v1 is not None and v0 != 0.0
-              and (v0 < 0) != (v1 < 0) and max(abs(v0), abs(v1)) > noise
+              and (v0 < 0) != (v1 < 0)
+              and max(abs(v0), abs(v1)) > cfg.noise_floor
               for v0, v1 in zip(vals, vals[1:]))
     if hit:
         diagnostics.append(

@@ -27,8 +27,9 @@ def _curves(Z: PiecewiseField, center: float, radius: float, cycles,
               for name, sigma, field in Z.sides() for frac in fractions]
              + [(None, field, sigma, cyc.x_star)
                 for cyc in cycles for _, sigma, field in Z.sides()])
+    bound = (center - 3.0 * radius, center + 3.0 * radius)
     paths = [None if isinstance(r, FilippovError) else r[1] for r in half_arcs(
-        [(field, sigma, x, cfg.window) for _, field, sigma, x in lanes], cfg)]
+        [(field, sigma, x, bound) for _, field, sigma, x in lanes], cfg)]
     n = 2 * len(fractions)
     arcs = [(label, path) for (label, *_), path in zip(lanes, paths[:n])
             if path is not None]
@@ -45,7 +46,6 @@ def render_portrait(Z: PiecewiseField, center: float, radius: float,
     lo, hi = center - radius, center + radius
     segments = sigma_regions(Z, (lo, hi))
     folds = [seg.interval[1] for seg in segments[:-1]]
-    cfg = cfg.with_window(center - 3.0 * radius, center + 3.0 * radius)
     arcs, closed = _curves(Z, center, radius, cycles, cfg)
 
     ys = [0.0]

@@ -28,10 +28,11 @@ class IntegratorConfig:
     They apply per lane: every arc of a batch gets its own step control
     from ``rel_tol``/``abs_tol``/``max_step`` and runs until its first
     sign change of ``y`` or ``max_time`` (then :class:`NoReturn`), with no
-    chunks.  ``window``, when set, bounds the abscissa range an arc may
-    visit; escaping it raises :class:`NotInWindow` for that lane only.
-    ``event_tol`` only sets the displacement noise floor, ``10 * event_tol``;
-    crossings are located to a few ulps whatever its value.
+    chunks.  The abscissa bound of an arc is not an option here but an
+    input of its lane (:func:`filippov.flow.half_arcs`).  ``event_tol``
+    only sets the displacement noise floor, :attr:`noise_floor`; crossings
+    are located to a few ulps whatever its value.  The fields are exactly
+    the options a scenario's ``integrator`` block may set.
     """
 
     rel_tol: float = 1e-10
@@ -39,7 +40,6 @@ class IntegratorConfig:
     max_step: float = math.inf
     event_tol: float = 1e-12
     max_time: float = 50.0
-    window: tuple | None = None
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "event_tol", "max_time"):
@@ -51,8 +51,11 @@ class IntegratorConfig:
             raise InputError(
                 f"integrator option max_step={self.max_step} must be positive")
 
-    def with_window(self, lo: float, hi: float) -> "IntegratorConfig":
-        return dataclasses.replace(self, window=(lo, hi))
+    @property
+    def noise_floor(self) -> float:
+        """Displacement magnitude that tells a sample from noise,
+        ``10 * event_tol``."""
+        return 10.0 * self.event_tol
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class Scenario:
     outputs: str
 
 
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "max_step", "event_tol", "max_time")
+_INTEGRATOR_KEYS = tuple(f.name for f in dataclasses.fields(IntegratorConfig))
 
 
 def _object(value, where: str) -> dict:
@@ -163,8 +166,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "name": s.name,
         "field": field_to_dict(s.field),
         "unfold": None,
-        "integrator": {key: getattr(s.integrator, key)
-                       for key in _INTEGRATOR_KEYS},
+        "integrator": dataclasses.asdict(s.integrator),
         "window": {"center": s.window.center, "radius": s.window.radius},
         "outputs": s.outputs,
     }

@@ -230,6 +230,17 @@ def test_portrait_with_cycle(scenario_path, tmp_path):
     assert any(ln.startswith("cycle-0,") for ln in csv)
 
 
+def test_portrait_reports_cycle_search_diagnostics(scenario_path):
+    # at radius 0.05 every four-fold-c1 sample escapes its window bound
+    doc = json.loads((ROOT / "scenarios" / "four-fold-c1.json").read_text())
+    doc["window"]["radius"] = 0.05
+    code, report = run(scenario_path(doc), "portrait")
+    assert code == 0
+    assert report["diagnostics"] == [
+        "window +0: 50 of 50 displacement samples failed (NotInWindow 50)",
+        "window +0: no displacement sample succeeded"]
+
+
 def test_console_entry_point(scenario_path):
     path = scenario_path(family_doc("quad", 2, 1.0))
     proc = subprocess.run(
@@ -241,6 +252,7 @@ def test_console_entry_point(scenario_path):
 
 _LAZY_SCIPY = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
 import filippov, filippov.cli
 from filippov import (IntegratorConfig, UnfoldingParams, build_perturbation,
                       classify_mts, cycle_census, cycle_producing_sign,
@@ -249,7 +261,8 @@ from filippov import (IntegratorConfig, UnfoldingParams, build_perturbation,
 from filippov.unfold import build_unfolded
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and mod is not None)
 
 Z = monodromic_family(2, 1.0)
 data = classify_mts(Z)
@@ -274,8 +287,8 @@ def _src_env():
 
 def test_algebraic_layers_do_not_load_scipy():
     """Classification, unfolding, the ladder, Lemma 1, the V2 limit, an arc
-    and a k = 2 census with its root solves all run without importing any
-    scipy module."""
+    and a k = 2 census with its root solves all run where scipy cannot be
+    imported, and import no scipy module."""
     proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -284,23 +297,26 @@ def test_algebraic_layers_do_not_load_scipy():
 
 _CLI_SCIPY = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
 from filippov.cli import main
 config, out = sys.argv[1:]
 codes = [main([command, "--config", config, "--out", out])
-         for command in ("cycles", "scan", "portrait")]
-print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+         for command in ("cycles", "scan", "portrait", "lyapunov", "delta-dump")]
+print(codes, sorted(m for m, mod in sys.modules.items()
+                    if m.split(".")[0] == "scipy" and mod is not None))
 """
 
 
 def test_arc_commands_do_not_load_scipy(tmp_path):
-    """``cycles``, ``scan`` and ``portrait`` integrate arcs and solve roots
-    with no scipy module imported."""
+    """``cycles``, ``scan``, ``portrait``, ``lyapunov`` and ``delta-dump``
+    integrate arcs and solve roots where scipy cannot be imported, and
+    import no scipy module."""
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_SCIPY,
          str(ROOT / "scenarios" / "four-fold-c1.json"), str(tmp_path)],
         env=_src_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 _NO_NUMPY = """

@@ -15,7 +15,6 @@ from filippov import (
     displacements,
     estimate_lyapunov,
     find_cycles_local,
-    half_return,
     monodromic_family,
     pseudo_hopf_scan,
 )
@@ -279,9 +278,9 @@ def test_census_shares_one_grid_batch(cfg, monkeypatch, k):
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
     for c in rep.cycles:
-        local = cfg.with_window(c.window_center - 2.5 * radius,
-                                c.window_center + 2.5 * radius)
-        assert c.x_left == half_return(Zb, "lower", c.x_star, local)
+        bound = (c.window_center - 2.5 * radius, c.window_center + 2.5 * radius)
+        assert c.x_left == flow.half_arcs(
+            [(Zb.lower, -1, c.x_star, bound)], cfg, returns=True)[0]
 
 
 def _producing_census(k):

@@ -76,9 +76,10 @@ def test_bad_direction(cfg):
 
 
 def test_window_escape(cfg):
-    tight = cfg.with_window(-0.05, 0.15)
+    # the upper arc through (0.1, 0) runs backward and swings out to -0.1
+    arc, = flow.half_arcs([(rotation_like(), 1, 0.1, (-0.05, 0.15))], cfg)
     with pytest.raises(NotInWindow):
-        integrate_to_sigma(rotation_like(), (0.1, 0.0), "backward", tight)
+        flow._one(arc)
 
 
 # -- half-return maps -------------------------------------------------------------
@@ -282,17 +283,20 @@ def test_lanes_are_independent(cfg, case):
             base_x=[c for _, xs, c, _ in grids for _ in xs],
             windows=[w for (_, xs, _, _), w in zip(grids, bounds) for _ in xs])]
         alone = [_outcome(s) for (_, xs, c, _), w in zip(grids, bounds)
-                 for s in displacements(Z, xs, cfg.with_window(*w), base_x=c)]
+                 for s in displacements(Z, xs, cfg, base_x=c,
+                                        windows=[w] * len(xs))]
         assert len(batch) == 3 * 50 + 2 * 12
     else:
         if case == "cross-coupled":
             Z, xs = cross_coupled_system(), np.geomspace(0.005, 0.2, 50)
-            center, local = 0.0, cfg
+            center, bound = 0.0, None
         else:
             Z, xs, center, radius = _census_grid(*_CENSUS[case[:2]], 1)
-            local = cfg.with_window(center - 2.5 * radius, center + 2.5 * radius)
-        batch = [_outcome(s) for s in displacements(Z, xs, local, base_x=center)]
-        alone = [_outcome(displacements(Z, [x], local, base_x=center)[0])
+            bound = (center - 2.5 * radius, center + 2.5 * radius)
+        batch = [_outcome(s) for s in displacements(
+            Z, xs, cfg, base_x=center, windows=[bound] * len(xs))]
+        alone = [_outcome(displacements(Z, [x], cfg, base_x=center,
+                                        windows=[bound])[0])
                  for x in xs]
     assert batch == alone
     assert sum(isinstance(s, tuple) for s in batch) >= 36
@@ -306,17 +310,18 @@ def test_failed_lanes_are_isolated(cfg):
     # one batch: a return, a tangency start, a window escape, an arc still
     # aloft at max_time, and a second return
     Z = monodromic_family(1, 1.0)
-    local = dataclasses.replace(cfg, max_time=1.0, window=(-0.3, 0.9))
+    local, bound = dataclasses.replace(cfg, max_time=1.0), (-0.3, 0.9)
     xs = [0.2, 1.0, 0.6, 0.8, 0.1]
-    batch = displacements(Z, xs, local)
+    batch = displacements(Z, xs, local, windows=[bound] * len(xs))
     assert [type(s).__name__ for s in batch] == [
         "ReturnSample", "InputError", "NotInWindow", "NoReturn", "ReturnSample"]
     for x, s in zip(xs, batch):
+        alone = displacements(Z, [x], local, windows=[bound])[0]
         if isinstance(s, FilippovError):
             with pytest.raises(type(s)):
-                displacement(Z, x, local)
+                flow._one(alone)
         else:
-            assert displacement(Z, x, local) == s
+            assert alone == s
             assert s.phi_minus == pytest.approx(-x, abs=1e-9)
 
 
