@@ -3,7 +3,9 @@
 Every command reads a scenario file, runs the corresponding library
 operation, and writes ``<name>.<command>.json`` (plus CSV/SVG side files
 where applicable) into the scenario's output directory.  Exit codes:
-0 ok, 1 input error, 2 numerical failure, 3 verification mismatch.
+0 ok, 1 input error, 2 numerical failure, 3 verification mismatch; once the
+scenario has loaded, every failure writes its report.  Every file but the
+portrait's SVG is written by :mod:`filippov.record`.
 
 Each command imports the layers it needs when it runs: ``classify``,
 ``unfold``, ``verify-ladder`` and ``verify-v2-limit`` load neither numpy
@@ -14,6 +16,7 @@ nor :mod:`filippov.flow`, :mod:`filippov.cycles` or
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -28,14 +31,8 @@ from .errors import (
     exit_code,
 )
 from .field import classify_mts
-from .record import jsonable
-from .scenario import (
-    Scenario,
-    field_to_dict,
-    load_scenario,
-    scenario_to_dict,
-    with_overrides,
-)
+from .record import write_csv, write_json
+from .scenario import Scenario, load_scenario, with_overrides
 from .unfold import (
     build_perturbation,
     build_unfolded,
@@ -89,7 +86,7 @@ def _cmd_unfold(scenario, args):
     polys = build_perturbation(scenario.field, _unfold_params(scenario))
     Zu = build_unfolded(scenario.field, polys)
     payload = polys.to_json_dict()
-    payload["unfolded"] = field_to_dict(Zu)
+    payload["unfolded"] = Zu.to_json_dict()
     return payload, "ok", []
 
 
@@ -167,14 +164,16 @@ def _cmd_cycles(scenario, args):
 
 
 def _cmd_scan(scenario, args):
-    from .cycles import pseudo_hopf_scan
+    from .cycles import ScanRow, pseudo_hopf_scan
 
-    if args.b_values:
+    if args.b_values is not None:
         try:
             b_values = [float(v) for v in args.b_values]
         except ValueError as exc:
             raise InputError(
                 f"malformed --b-values {','.join(args.b_values)!r}") from exc
+        if not b_values:
+            raise InputError("--b-values lists no shift value")
     elif scenario.unfold is not None and scenario.unfold.b != 0:
         mag = abs(scenario.unfold.b)
         b_values = [-mag, mag]
@@ -186,14 +185,15 @@ def _cmd_scan(scenario, args):
                              scenario.integrator,
                              window_radius=scenario.window.radius)
     csv = _out_dir(scenario) / f"{scenario.name}.scan.csv"
-    table.write_csv(csv)
+    write_csv(csv, [f.name for f in dataclasses.fields(ScanRow)],
+              map(dataclasses.astuple, table.rows))
     payload = table.to_json_dict()
     payload["csv"] = str(csv)
     return payload, "ok", []
 
 
 def _cmd_delta_dump(scenario, args):
-    from .flow import displacements, write_delta_csv
+    from .flow import displacements
 
     xs = _delta_grid(scenario, 33)
     samples = displacements(scenario.field, xs, scenario.integrator,
@@ -202,7 +202,7 @@ def _cmd_delta_dump(scenario, args):
         if isinstance(s, FilippovError):
             raise s
     csv = _out_dir(scenario) / f"{scenario.name}.delta.csv"
-    write_delta_csv(samples, csv)
+    write_csv(csv, ("x", "delta"), ((s.x, s.delta_value) for s in samples))
     payload = {"n_samples": len(samples),
                "x": [s.x for s in samples],
                "delta": [s.delta_value for s in samples],
@@ -258,12 +258,6 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_report(scenario: Scenario, command: str, payload, status,
                   diagnostics) -> Path:
     report = {
@@ -273,10 +267,10 @@ def _write_report(scenario: Scenario, command: str, payload, status,
         "tool_version": __version__,
         "status": status,
         "diagnostics": list(diagnostics),
-        "payload": jsonable(payload),
+        "payload": payload,
     }
     path = _out_dir(scenario) / f"{scenario.name}.{command}.json"
-    _write_json(path, report)
+    write_json(path, report)
     return path
 
 
@@ -286,20 +280,17 @@ def run(config_path, command: str, b=None, epsilon=None, shift=None,
     """Programmatic entry point; returns ``(exit_code, report_dict)``."""
     if command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
-    scenario = load_scenario(config_path)
-    scenario = with_overrides(scenario, b=b, epsilon=epsilon, shift=shift,
-                              out=out)
-
-    if dump_normalized:
-        doc = jsonable(scenario_to_dict(scenario))
-        _write_json(_out_dir(scenario) / f"{scenario.name}.normalized.json", doc)
-        return 0, doc
-
+    scenario = with_overrides(load_scenario(config_path), out=out)
     args = argparse.Namespace(seed=seed, gate=gate, draws=draws,
                               b_values=b_values)
-    handler = _DISPATCH[command]
     try:
-        payload, status, diagnostics = handler(scenario, args)
+        scenario = with_overrides(scenario, b=b, epsilon=epsilon, shift=shift)
+        if dump_normalized:
+            doc = scenario.to_json_dict()
+            write_json(_out_dir(scenario) / f"{scenario.name}.normalized.json",
+                       doc)
+            return 0, doc
+        payload, status, diagnostics = _DISPATCH[command](scenario, args)
         code = 0 if status == "ok" else 3
     except (InputError, NumericalError, VerificationMismatch) as exc:
         code = exit_code(exc)[0]

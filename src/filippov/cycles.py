@@ -127,17 +127,6 @@ class ScanTable(Record):
     ell: int | None
     V2ell: float | None
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("b,n_cycles,stability,sliding_kind,amplitude,"
-                     "predicted_amplitude\n")
-            for r in self.rows:
-                amp = "" if r.amplitude is None else f"{r.amplitude:.17g}"
-                pred = ("" if r.predicted_amplitude is None
-                        else f"{r.predicted_amplitude:.17g}")
-                fh.write(f"{r.b:.17g},{r.n_cycles},{r.stability},"
-                         f"{r.sliding_kind},{amp},{pred}\n")
-
 
 @dataclass(frozen=True)
 class CensusReport(Record):
@@ -278,8 +267,8 @@ def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:
     sliding = [
         seg for seg in sigma_regions(Z_b, (x_left, x_star))
         if seg.kind != "crossing"
-        and seg.interval[0] > x_left + pad
-        and seg.interval[1] < x_star - pad
+        and seg.x_lo > x_left + pad
+        and seg.x_hi < x_star - pad
     ]
     enclosed = sliding[0] if len(sliding) == 1 else None
     if enclosed is None:
@@ -500,6 +489,6 @@ def _split_pair_kind(Zb: PiecewiseField, b: float) -> str:
     segs = sigma_regions(Zb, (-1.6 * abs(b), 1.6 * abs(b)))
     probe = b / 2.0
     for seg in segs:
-        if seg.interval[0] < probe < seg.interval[1]:
+        if seg.x_lo < probe < seg.x_hi:
             return seg.kind
     return "none"

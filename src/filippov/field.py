@@ -55,7 +55,7 @@ SIGMA = {"upper": 1, "lower": -1}
 
 
 @dataclass(frozen=True)
-class SmoothField:
+class SmoothField(Record):
     """One smooth planar field with polynomial components."""
 
     X: Poly2
@@ -67,7 +67,7 @@ class SmoothField:
 
 
 @dataclass(frozen=True)
-class PiecewiseField:
+class PiecewiseField(Record):
     """Upper/lower field pair; the switching line is fixed at ``y = 0``."""
 
     upper: SmoothField
@@ -116,17 +116,11 @@ class MonodromyData(Record):
 class SigmaSegment(Record):
     """One piece of the switching line between consecutive contact points."""
 
-    interval: tuple
+    x_lo: float
+    x_hi: float
     kind: str  # crossing | attracting-sliding | repelling-sliding
-    endpoints: tuple  # delimiting contact abscissas (None at window edges)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x_lo": float(self.interval[0]),
-            "x_hi": float(self.interval[1]),
-            "kind": self.kind,
-            "endpoints": [None if e is None else float(e) for e in self.endpoints],
-        }
+    # delimiting contact abscissas (None at window edges)
+    endpoints: tuple[float | None, float | None]
 
 
 def _coeff_tol(p, tol: float = DERIV_ZERO_TOL) -> float:
@@ -300,7 +294,8 @@ def sigma_regions(Z: PiecewiseField, interval) -> list:
         else:
             kind = CROSSING
         segments.append(SigmaSegment(
-            interval=(u, v),
+            x_lo=u,
+            x_hi=v,
             kind=kind,
             endpoints=(
                 u if idx > 0 else None,

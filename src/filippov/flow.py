@@ -525,11 +525,3 @@ def estimate_lyapunov(Z: PiecewiseField, window,
     return LyapunovEstimate(order=order,
                             coefficient=float(signs[0]) * magnitude,
                             fit_r2=r2, window=(x_min, x_max))
-
-
-def write_delta_csv(samples, path) -> None:
-    """Dump displacement samples as ``x,delta`` rows, 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,delta\n")
-        for s in samples:
-            fh.write(f"{s.x:.17g},{s.delta_value:.17g}\n")

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import FilippovError
 from .field import PiecewiseField, sigma_regions
 from .flow import IntegratorConfig, half_arcs
+from .record import write_csv
 
 _W, _H = 840, 520
 _MARGIN = 40
@@ -45,7 +46,7 @@ def render_portrait(Z: PiecewiseField, center: float, radius: float,
     """Render the window ``center +- radius`` and return summary counts."""
     lo, hi = center - radius, center + radius
     segments = sigma_regions(Z, (lo, hi))
-    folds = [seg.interval[1] for seg in segments[:-1]]
+    folds = [seg.x_hi for seg in segments[:-1]]
     arcs, closed = _curves(Z, center, radius, cycles, cfg)
 
     ys = [0.0]
@@ -67,7 +68,7 @@ def render_portrait(Z: PiecewiseField, center: float, radius: float,
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     for seg in segments:
-        x0, x1 = seg.interval
+        x0, x1 = seg.x_lo, seg.x_hi
         solid = seg.kind != "crossing"
         dash = "" if solid else ' stroke-dasharray="7,6"'
         width = 3.0 if solid else 1.4
@@ -95,14 +96,11 @@ def render_portrait(Z: PiecewiseField, center: float, radius: float,
 
     with open(svg_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("curve,x,y\n")
-        for name, path in arcs + closed:
-            for x, y in path:
-                fh.write(f"{name},{x:.17g},{y:.17g}\n")
+    write_csv(csv_path, ("curve", "x", "y"),
+              ((name, x, y) for name, path in arcs + closed for x, y in path))
 
     return {
-        "segments": [seg.to_json_dict() for seg in segments],
+        "segments": segments,
         "folds": [float(x) for x in folds],
         "n_arcs": len(arcs),
         "n_cycles_drawn": len(closed),

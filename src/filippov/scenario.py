@@ -5,7 +5,10 @@ optional unfolding parameters, optional integrator overrides (an
 :class:`IntegratorConfig`, which :mod:`filippov.flow` re-exports), a query
 window on the switching line, and an output directory.  Polynomials are
 arrays of ``[i, j, coefficient]`` triples; duplicate exponent pairs are
-rejected.
+rejected.  Every scalar is checked where it enters: ``k`` is an integer
+and every other number a real, neither a bool nor a string.  The
+``to_json_dict`` of a :class:`Scenario` is the normalized form (sorted
+monomials, explicit defaults) that ``--dump-normalized`` writes.
 """
 
 from __future__ import annotations
@@ -13,16 +16,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InputError
 from .field import SIGMA, PiecewiseField, SmoothField
 from .poly import Poly2
+from .record import Record
 from .unfold import UnfoldingParams
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
+class IntegratorConfig(Record):
     """Tolerances for orbit-arc integration.
 
     They apply per lane: every arc of a batch gets its own step control
@@ -59,13 +64,13 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class Window:
+class Window(Record):
     center: float
     radius: float
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     field: PiecewiseField
     unfold: UnfoldingParams | None
@@ -81,6 +86,15 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise InputError(f"{where} must be a JSON object")
     return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{where} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{where} is out of the float range") from exc
 
 
 def _component(side_doc: dict, side: str, comp: str) -> Poly2:
@@ -111,34 +125,34 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     unfold = None
     if doc.get("unfold") is not None:
-        u = doc["unfold"]
-        try:
-            unfold = UnfoldingParams(
-                k=int(u["k"]),
-                lam=tuple(float(a) for a in u.get("lambda", [])),
-                epsilon=float(u.get("epsilon", 0.1)),
-                b=float(u.get("b", 0.0)),
-                shift_convention=str(u.get("shift", "minus")))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed unfold block: {exc}") from exc
+        u = _object(doc["unfold"], "unfold")
+        k, lam = u.get("k"), u.get("lambda", [])
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise InputError(f"unfold.k must be an integer, not {k!r}")
+        if not isinstance(lam, list):
+            raise InputError("unfold.lambda must be a list of numbers")
+        unfold = UnfoldingParams(
+            k=int(k),
+            lam=tuple(_number(a, "unfold.lambda entry") for a in lam),
+            epsilon=_number(u.get("epsilon", 0.1), "unfold.epsilon"),
+            b=_number(u.get("b", 0.0), "unfold.b"),
+            shift_convention=str(u.get("shift", "minus")))
 
     wdoc = _object(doc.get("window") or {}, "window")
-    try:
-        overrides = {}
-        for key, value in _object(doc.get("integrator") or {},
-                                  "integrator").items():
-            if key not in _INTEGRATOR_KEYS:
-                raise InputError(f"unknown integrator option {key!r}")
-            overrides[key] = float(value)
-        integrator = IntegratorConfig(**overrides)
-        window = Window(center=float(wdoc.get("center", 0.0)),
-                        radius=float(wdoc.get("radius", 0.3)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed integrator or window value: {exc}") from exc
+    overrides = {}
+    for key, value in _object(doc.get("integrator") or {}, "integrator").items():
+        if key not in _INTEGRATOR_KEYS:
+            raise InputError(f"unknown integrator option {key!r}")
+        overrides[key] = _number(value, f"integrator option {key}")
+    integrator = IntegratorConfig(**overrides)
+    window = Window(center=_number(wdoc.get("center", 0.0), "window.center"),
+                    radius=_number(wdoc.get("radius", 0.3), "window.radius"))
     if not (math.isfinite(window.center) and 0 < window.radius < math.inf):
         raise InputError("window center must be finite, radius positive and finite")
 
-    outputs = str(doc.get("outputs", "out"))
+    outputs = doc.get("outputs", "out")
+    if not isinstance(outputs, str) or not outputs:
+        raise InputError("scenario outputs must be a nonempty string")
     return Scenario(name=name, field=field, unfold=unfold,
                     integrator=integrator, window=window, outputs=outputs)
 
@@ -152,33 +166,6 @@ def load_scenario(path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise InputError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(doc)
-
-
-def field_to_dict(Z: PiecewiseField) -> dict:
-    """``{upper|lower: {X|Y: [[i, j, coefficient], ...]}}``, sorted monomials."""
-    return {name: {"X": f.X.to_triples(), "Y": f.Y.to_triples()}
-            for name, _, f in Z.sides()}
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Normalized form: sorted monomials, explicit defaults."""
-    doc = {
-        "name": s.name,
-        "field": field_to_dict(s.field),
-        "unfold": None,
-        "integrator": dataclasses.asdict(s.integrator),
-        "window": {"center": s.window.center, "radius": s.window.radius},
-        "outputs": s.outputs,
-    }
-    if s.unfold is not None:
-        doc["unfold"] = {
-            "k": s.unfold.k,
-            "lambda": [float(a) for a in s.unfold.lam],
-            "epsilon": float(s.unfold.epsilon),
-            "b": float(s.unfold.b),
-            "shift": s.unfold.shift_convention,
-        }
-    return doc
 
 
 def with_overrides(s: Scenario, b=None, epsilon=None, shift=None,

@@ -76,14 +76,16 @@ V2_LIMIT_MIN_ORDER = 0.9
 
 
 @dataclass(frozen=True)
-class UnfoldingParams:
+class UnfoldingParams(Record):
     """Unfolding parameters: order ``k``, node vector, scale, shift."""
 
     k: int
-    lam: tuple
+    lam: tuple[float, ...]
     epsilon: float
     b: float = 0.0
     shift_convention: str = "minus"  # upper field composed with x -> x -+ b
+
+    json_renames = {"lam": "lambda", "shift_convention": "shift"}
 
     def __post_init__(self):
         if self.shift_convention not in ("minus", "plus"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filippov.cli import main, run
-from filippov.scenario import load_scenario, scenario_from_dict, scenario_to_dict
+from filippov.scenario import load_scenario, scenario_from_dict
 from filippov.errors import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,7 +177,7 @@ def test_dump_normalized_round_trip(scenario_path, tmp_path):
     code, doc = run(path, "classify", dump_normalized=True)
     assert code == 0
     reparsed = scenario_from_dict(doc)
-    assert scenario_to_dict(reparsed) == doc
+    assert reparsed.to_json_dict() == doc
     on_disk = json.loads((tmp_path / "out" / "quad.normalized.json").read_text())
     assert on_disk == doc
 
@@ -189,6 +189,10 @@ def test_delta_dump_csv(scenario_path, tmp_path):
     lines = (tmp_path / "out" / "two.delta.csv").read_text().splitlines()
     assert lines[0] == "x,delta"
     assert len(lines) == 34
+    # each cell reads back to the report's value exactly
+    payload = report["payload"]
+    assert [tuple(map(float, ln.split(","))) for ln in lines[1:]] == list(
+        zip(payload["x"], payload["delta"]))
 
 
 def test_scan_outputs(scenario_path, tmp_path):
@@ -441,7 +445,21 @@ def test_shipped_scenarios_parse():
     files = sorted(root.glob("*.json"))
     assert files, "shipped scenario files are missing"
     for f in files:
-        load_scenario(str(f))
+        s = load_scenario(str(f))
+        assert scenario_from_dict(s.to_json_dict()) == s
+
+
+def test_override_without_unfold_block_writes_a_report(tmp_path):
+    doc = json.loads((ROOT / "scenarios" / "c3-violation.json").read_text())
+    doc["outputs"] = str(tmp_path / "out")
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", "--config", str(path), "--b", "1e-3"]) == 1
+    report = json.loads(
+        (tmp_path / "out" / "c3-violation.classify.json").read_text())
+    assert report["status"] == "error"
+    assert report["diagnostics"] == [
+        "override of b/epsilon/shift requires an unfold block"]
 
 
 def _nan_coefficient(doc):
@@ -492,6 +510,34 @@ def _bool_exponent(doc):
     doc["field"]["upper"]["Y"][0][1] = True
 
 
+def _fractional_k(doc):
+    doc["unfold"]["k"] = 2.5
+
+
+def _text_k(doc):
+    doc["unfold"]["k"] = "2"
+
+
+def _bool_k(doc):
+    doc["unfold"]["k"] = True
+
+
+def _bool_epsilon(doc):
+    doc["unfold"]["epsilon"] = True
+
+
+def _text_b(doc):
+    doc["unfold"]["b"] = "-1e-6"
+
+
+def _null_outputs(doc):
+    doc["outputs"] = None
+
+
+def _empty_outputs(doc):
+    doc["outputs"] = ""
+
+
 @pytest.mark.parametrize("edit, argv, loads", [
     (_text_coefficient, ["classify"], False),
     (_nan_coefficient, ["classify"], False),
@@ -520,16 +566,27 @@ def _bool_exponent(doc):
     (None, ["unfold", "--epsilon", "1e-300"], True),
     (None, ["unfold", "--epsilon", "6.4e56"], True),
     (None, ["scan", "--b-values=1e-4,abc"], True),
+    (_fractional_k, ["unfold"], False),
+    (_text_k, ["unfold"], False),
+    (_bool_k, ["unfold"], False),
+    (_bool_epsilon, ["unfold"], False),
+    (_text_b, ["unfold"], False),
+    (_null_outputs, ["classify"], False),
+    (_empty_outputs, ["classify"], False),
+    (None, ["scan", "--b-values=,"], True),
 ])
-def test_non_finite_or_non_numeric_input_exits_one(scenario_path, tmp_path,
+def test_non_finite_or_non_numeric_input_exits_one(tmp_path, monkeypatch,
                                                    edit, argv, loads):
     unfold = {"k": 2, "lambda": [-1.0, 1.0], "epsilon": 0.1, "b": -1e-6,
               "shift": "minus"}
-    doc = family_doc("bad", 2, 1.0, unfold=unfold)
+    doc = family_doc("bad", 2, 1.0, unfold=unfold,
+                     outputs=str(tmp_path / "out"))
     if edit is not None:
         edit(doc)
-    path = scenario_path(doc)
-    assert main([*argv, "--config", path]) == 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc, indent=2))
+    monkeypatch.chdir(tmp_path)  # a relative output directory stays here
+    assert main([*argv, "--config", str(path)]) == 1
     report = tmp_path / "out" / f"bad.{argv[0]}.json"
     assert report.exists() == loads
     if loads:

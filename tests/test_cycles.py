@@ -1,5 +1,7 @@
 """Cycle layer: the splitting dichotomy, amplitude laws, and the census."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from filippov import (
     pseudo_hopf_scan,
 )
 from filippov import flow
-from filippov.cycles import GRID_POINTS, VISIBLE_POINTS
+from filippov.cycles import GRID_POINTS, VISIBLE_POINTS, ScanRow
 from filippov.errors import (
     InputError,
     ScaleSeparationViolated,
@@ -28,6 +30,7 @@ from filippov.errors import (
 )
 from filippov.field import PiecewiseField, SmoothField
 from filippov.poly import Poly2
+from filippov.record import write_csv
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
 
@@ -91,7 +94,7 @@ def test_single_cycle_for_producing_sign(cfg):
     assert c.amplitude > abs(b)
     # chord endpoints surround the sliding segment strictly
     seg = c.enclosed_segment
-    assert c.x_left < seg.interval[0] < seg.interval[1] < c.x_star
+    assert c.x_left < seg.x_lo < seg.x_hi < c.x_star
 
 
 def test_no_cycle_for_opposite_sign(cfg):
@@ -165,11 +168,14 @@ def test_scan_csv(cfg, tmp_path):
     Z = monodromic_family(1, 1.0)
     table = pseudo_hopf_scan(Z, [-1e-4, 1e-4], "minus", cfg)
     path = tmp_path / "scan.csv"
-    table.write_csv(path)
+    write_csv(path, [f.name for f in dataclasses.fields(ScanRow)],
+              map(dataclasses.astuple, table.rows))
     lines = path.read_text().splitlines()
-    assert lines[0] == \
-        "b,n_cycles,stability,sliding_kind,amplitude,predicted_amplitude"
     assert len(lines) == 3
+    for line, row in zip(lines[1:], table.rows):
+        b, n_cycles, stability, *_ = line.split(",")
+        assert (float(b), int(n_cycles), stability) == (
+            row.b, row.n_cycles, row.stability)
 
 
 # -- census -----------------------------------------------------------------------

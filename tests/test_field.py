@@ -304,19 +304,18 @@ def test_sigma_regions_split_pair():
         upper=simple_field(1.0, {(1, 0): -1.0, (0, 0): b}),  # -(x - b)
         lower=simple_field(-1.0, {(1, 0): -1.0}))
     segs = sigma_regions(Z, (-0.2, 0.1))
-    kinds = [(s.interval, s.kind) for s in segs]
     assert len(segs) == 3
     assert segs[0].kind == "crossing"
     assert segs[1].kind == "attracting-sliding"
-    assert segs[1].interval[0] == pytest.approx(-0.1, abs=1e-12)
-    assert segs[1].interval[1] == pytest.approx(0.0, abs=1e-12)
+    assert segs[1].x_lo == pytest.approx(-0.1, abs=1e-12)
+    assert segs[1].x_hi == pytest.approx(0.0, abs=1e-12)
     assert segs[2].kind == "crossing"
 
 
 def test_sigma_regions_center_is_all_crossing():
     segs = sigma_regions(monodromic_family(1, 0.0), (-1.0, 1.0))
     assert [s.kind for s in segs] == ["crossing", "crossing"]
-    assert segs[0].interval[1] == pytest.approx(0.0, abs=1e-12)
+    assert segs[0].x_hi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sigma_regions_unfolded_has_no_sliding():
@@ -331,7 +330,7 @@ def test_sigma_regions_unfolded_has_no_sliding():
 def test_sigma_regions_tile_the_interval():
     Zu, _ = unfolded_family(2, 1.0, (-1.0, 1.0), 0.1)
     segs = sigma_regions(Zu, (-0.25, 0.25))
-    assert segs[0].interval[0] == -0.25
-    assert segs[-1].interval[1] == 0.25
+    assert segs[0].x_lo == -0.25
+    assert segs[-1].x_hi == 0.25
     for a, b in zip(segs, segs[1:]):
-        assert a.interval[1] == b.interval[0]
+        assert a.x_hi == b.x_lo

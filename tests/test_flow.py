@@ -21,7 +21,7 @@ from filippov import (
 from filippov import flow
 from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
-from filippov.flow import _interpolate, _Lanes, write_delta_csv
+from filippov.flow import _interpolate, _Lanes
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
@@ -400,21 +400,6 @@ def test_cross_coupled_numeric_matches_formula(cfg):
 def test_window_validation(cfg):
     with pytest.raises(InputError):
         estimate_lyapunov(monodromic_family(1, 1.0), (-0.1, 0.1), cfg)
-
-
-# -- csv export ------------------------------------------------------------------------
-
-def test_delta_csv_format(cfg, tmp_path):
-    Z = monodromic_family(1, 1.0)
-    samples = [displacement(Z, x, cfg) for x in (0.05, 0.1)]
-    path = tmp_path / "delta.csv"
-    write_delta_csv(samples, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,delta"
-    assert len(lines) == 3
-    x, d = lines[1].split(",")
-    assert float(x) == 0.05
-    assert float(d) == pytest.approx(samples[0].delta_value, rel=1e-15)
 
 
 def test_solve_ivp_is_a_lazy_module_attribute():

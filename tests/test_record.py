@@ -21,11 +21,13 @@ from filippov import (
 from filippov.cycles import CensusReport, LimitCycle, ScanRow, ScanTable
 from filippov.field import SigmaSegment
 from filippov.flow import LyapunovEstimate
-from filippov.record import jsonable
+from filippov.poly import Poly2
+from filippov.record import jsonable, write_csv, write_json
+from filippov.scenario import IntegratorConfig, Scenario, Window
 
 PARAMS = UnfoldingParams(k=2, lam=(-1.0, 1.0), epsilon=0.1)
 Z = monodromic_family(2, 1.0)
-SEGMENT = SigmaSegment(interval=(0.0, 0.1), kind="attracting-sliding",
+SEGMENT = SigmaSegment(x_lo=0.0, x_hi=0.1, kind="attracting-sliding",
                        endpoints=(None, 0.1))
 CYCLE = LimitCycle(x_star=0.2, b=-1e-6, window_center=0.1, amplitude=0.1,
                    stability="unstable", derivative=1e-3,
@@ -85,6 +87,16 @@ RECORDS = {
         "ok"]),
     "V2LimitReport": (lambda: local_V2_limit_check(Z, PARAMS),
                       ["limit", "V2", "eps_grid", "rows", "ok"]),
+    "UnfoldingParams": (lambda: PARAMS,
+                        ["k", "lambda", "epsilon", "b", "shift"]),
+    "PiecewiseField": (lambda: Z, ["upper", "lower"]),
+    "SmoothField": (lambda: Z.upper, ["X", "Y"]),
+    "IntegratorConfig": (IntegratorConfig, [
+        "rel_tol", "abs_tol", "max_step", "event_tol", "max_time"]),
+    "Scenario": (lambda: Scenario(
+        name="s", field=Z, unfold=PARAMS, integrator=IntegratorConfig(),
+        window=Window(center=0.0, radius=0.3), outputs="out"),
+        ["name", "field", "unfold", "integrator", "window", "outputs"]),
 }
 
 
@@ -108,3 +120,33 @@ def test_jsonable_converts_numpy_scalars_and_fractions():
     assert doc == {"f": 0.5, "i": 7, "q": [0.25], "x": 2}
     assert [type(doc[k]) for k in ("f", "i", "x")] == [float, int, int]
     assert type(doc["q"][0]) is float
+
+
+def test_jsonable_writes_poly2_as_sorted_triples():
+    p = Poly2({(1, 0): Fraction(1, 2), (0, 0): 2})
+    assert jsonable({"p": p}) == {"p": [[0, 0, 2.0], [1, 0, 0.5]]}
+
+
+def test_write_json_sorts_keys_and_converts(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"b": np.float64(0.1), "a": [SEGMENT]})
+    text = path.read_text()
+    assert text.endswith("}\n") and text.index('"a"') < text.index('"b"')
+    assert json.loads(text) == {"a": [SEGMENT.to_json_dict()], "b": 0.1}
+
+
+def test_write_csv_cells(tmp_path):
+    """Header line, then a float with 17 significant digits (so it reads
+    back exactly), None as an empty cell and anything else with str."""
+    x = 0.1 + 0.2
+    path = tmp_path / "t.csv"
+    write_csv(path, ("x", "n", "kind", "y", "none"),
+              [(x, 3, "stable", np.float64(1) / 3, None), (1e-300, 0, "", -0.0, 2)])
+    assert path.read_bytes() == (
+        b"x,n,kind,y,none\n"
+        b"0.30000000000000004,3,stable,0.33333333333333331,\n"
+        b"1e-300,0,,-0,2\n")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert float(rows[0][0]) == x
+    assert float(rows[0][3]) == np.float64(1) / 3
+    assert float(rows[1][0]) == 1e-300

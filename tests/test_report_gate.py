@@ -35,3 +35,19 @@ def test_diff_prints_the_diagnostics_of_one_side(tmp_path, capsys):
         "  + new",
         "1 of 3 files byte-identical",
     ]
+
+
+def test_run_strips_the_keys_that_differ_by_construction(tmp_path):
+    report = tmp_path / "s.scan.json"
+    report.write_text(json.dumps({
+        "timestamp": "2020-01-01T00:00:00+00:00", "status": "ok",
+        "payload": {"csv": "/a/s.scan.csv", "svg": "/a/s.svg", "rows": []}}))
+    dump = tmp_path / "s.normalized.json"
+    dump.write_text(json.dumps({"name": "s", "outputs": "/a", "unfold": None}))
+    for path in (report, dump):
+        report_gate._strip_report(path)
+    assert json.loads(report.read_text()) == {"status": "ok",
+                                              "payload": {"rows": []}}
+    assert json.loads(dump.read_text()) == {"name": "s", "unfold": None}
+    assert ("dump-normalized", ["classify", "--dump-normalized"]) \
+        in report_gate.RUNS

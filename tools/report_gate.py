@@ -3,12 +3,14 @@
     python3 tools/report_gate.py run REPO OUT
     python3 tools/report_gate.py diff A B
 
-``run`` executes each command of the ``filippov`` CLI on every
-``REPO/scenarios/*.json`` with ``REPO/src`` first on the import path, one
-cold process per run.  It keeps every report and side file under
-``OUT/files`` and the exit code, stdout and stderr of each run under
-``OUT/runs``.  Reports lose the keys that differ between any two runs by
-construction: ``timestamp`` and the payload's ``csv``/``svg`` paths.
+``run`` executes each command of the ``filippov`` CLI, and ``classify
+--dump-normalized``, on every ``REPO/scenarios/*.json`` with ``REPO/src``
+first on the import path, one cold process per run.  It keeps every
+report, side file and normalized scenario under ``OUT/files`` and the exit
+code, stdout and stderr of each run under ``OUT/runs``.  JSON files lose
+the keys that differ between any two runs by construction: a report's
+``timestamp`` and its payload's ``csv``/``svg`` paths, and a normalized
+scenario's ``outputs`` directory.
 
 ``diff`` compares two such trees: it counts the byte-identical files and
 prints the largest numeric difference in each differing JSON file, then
@@ -33,6 +35,9 @@ from pathlib import Path
 COMMANDS = ("classify", "lyapunov", "unfold", "verify-ladder", "verify-lemma1",
             "verify-v2-limit", "cycles", "scan", "delta-dump", "portrait")
 EXTRA_ARGS = {"verify-lemma1": ["--draws", "50", "--seed", "3"]}
+# (run record name, command-line arguments) of every run on a scenario
+RUNS = ([(c, [c, *EXTRA_ARGS.get(c, [])]) for c in COMMANDS]
+        + [("dump-normalized", ["classify", "--dump-normalized"])])
 
 
 def _write_json(path: Path, doc) -> None:
@@ -44,6 +49,7 @@ def _write_json(path: Path, doc) -> None:
 def _strip_report(path: Path) -> None:
     doc = json.loads(path.read_text(encoding="utf-8"))
     doc.pop("timestamp", None)
+    doc.pop("outputs", None)
     payload = doc.get("payload")
     if isinstance(payload, dict):
         payload.pop("csv", None)
@@ -68,22 +74,21 @@ def run(repo: Path, out: Path) -> int:
         [str((repo / "src").resolve())]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for scenario in scenarios:
-        for command in COMMANDS:
-            argv = [sys.executable, "-m", "filippov", command,
+        for label, args in RUNS:
+            argv = [sys.executable, "-m", "filippov", *args,
                     "--config", str(scenario.resolve()),
-                    "--out", str(files.resolve()),
-                    *EXTRA_ARGS.get(command, [])]
+                    "--out", str(files.resolve())]
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   env=env, cwd=out)
-            _write_json(runs / f"{scenario.stem}.{command}.json", {
+            _write_json(runs / f"{scenario.stem}.{label}.json", {
                 "exit_code": proc.returncode,
                 "stdout": proc.stdout,
                 "stderr": proc.stderr,
             })
-            print(f"{scenario.stem} {command}: exit {proc.returncode}")
+            print(f"{scenario.stem} {label}: exit {proc.returncode}")
     for path in sorted(files.glob("*.json")):
         _strip_report(path)
-    n_runs = len(scenarios) * len(COMMANDS)
+    n_runs = len(scenarios) * len(RUNS)
     n_files = sum(1 for p in files.iterdir() if p.is_file())
     print(f"{n_runs} runs, {n_files} report/side files in {files}")
     return 0
