@@ -3,11 +3,14 @@
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
 brackets candidate roots, Chandrupatla's method
-(:func:`filippov.roots.chandrupatla`) solves the brackets of all
-windows in lockstep, and a central-difference derivative decides
-hyperbolicity and stability (a first-return contraction, i.e. negative
-derivative, is stable).  Every accepted cycle must enclose
-exactly one sliding segment strictly inside its chord on the line.
+(:func:`filippov.roots.chandrupatla`) solves the brackets of all windows
+in lockstep, and a central-difference derivative, probed within the root
+solve, decides hyperbolicity and stability (a first-return contraction,
+i.e. negative derivative, is stable).  Every accepted cycle must enclose
+exactly one sliding segment strictly inside its chord on the line.  An
+orbit from a visible fold has no local return (Kuznetsov, Rinaldi &
+Gragnani, *IJBC* 13 (2003) 2157-2188), so a census searches only the
+invisible contact windows and checks the visible ones algebraically.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .errors import (
     ScaleSeparationViolated,
     WrongSign,
 )
-from .field import PiecewiseField, SigmaSegment, classify_mts, sigma_regions
+from .field import (PiecewiseField, SigmaSegment, classify_mts, contact_info,
+                    sigma_regions)
 from .flow import (
     IntegratorConfig,
     displacements,
@@ -47,7 +51,7 @@ HYPERBOLICITY_TOL = 1e-8
 
 ROOT_RESIDUAL_TOL = 1e-12
 GRID_POINTS = 50
-VISIBLE_POINTS = 12
+SLOPE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -154,11 +158,8 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     the displacement never leaves the noise floor ("center") are reported
     through ``diagnostics``, not returned.
     """
-    windows = _sample_windows(
-        [(Z_b, b, window_center, radius, _inner_offset(b, radius), GRID_POINTS)],
-        cfg)
-    return _refine_windows(windows, cfg, [] if diagnostics is None
-                           else diagnostics)[0]
+    return _search_windows([(Z_b, b, window_center, radius)], cfg,
+                           [] if diagnostics is None else diagnostics)[0]
 
 
 def _inner_offset(b: float, radius: float) -> float:
@@ -171,21 +172,28 @@ def _inner_offset(b: float, radius: float) -> float:
     return u_lo
 
 
-def _refine_windows(windows, cfg, diagnostics) -> list:
-    """:func:`find_cycles_local` on windows from :func:`_sample_windows`,
-    all brackets in one lockstep root solve and all slope probes in one
-    batch: the cycles per window, diagnostics appended in window order."""
+def _search_windows(specs, cfg, diagnostics) -> list:
+    """:func:`find_cycles_local` on every window ``(Z, b, center, radius)``
+    of ``specs``: all grids as one batch (see :func:`_fill`), all brackets
+    in one lockstep root solve that also integrates the slope probes.  The
+    cycles per window; diagnostics appended in window order."""
+    windows = [_Window(Z, b, center, radius, (center + np.geomspace(
+                   _inner_offset(b, radius), radius, GRID_POINTS)).tolist())
+               for Z, b, center, radius in specs]
+    memo: dict = {}
+    _fill(windows, [(w, x) for w, window in enumerate(windows)
+                    for x in window.grid], memo, cfg)
     plans = [[] for _ in windows]  # per window: diagnostics and bracket ids
     brackets = []  # (window index, lo, hi)
     for w, (window, plan) in enumerate(zip(windows, plans)):
-        values = _values(window, plan)
+        values = _values(window, [memo[w, x] for x in window.grid], plan)
         valid = [abs(v) for v in values if v is not None]
         if not valid or max(valid) < cfg.noise_floor:
             plan.append(f"window {window.center:+.6g}: " + (
                 "displacement below noise (center)" if valid
                 else "no displacement sample succeeded"))
             continue
-        grid = window.grid.tolist()
+        grid = window.grid
         for i, (v0, v1) in enumerate(zip(values, values[1:])):
             if (v0 is None) != (v1 is None):
                 plan.append(f"window {window.center:+.6g}: bracket ({grid[i]:.9g}, "
@@ -194,13 +202,10 @@ def _refine_windows(windows, cfg, diagnostics) -> list:
                 plan.append(len(brackets))
                 brackets.append((w, grid[i], grid[i + 1]))
 
-    memo = {(w, x): s for w, window in enumerate(windows)
-            for x, s in zip(window.grid.tolist(), window.samples)}
     roots = _solve_brackets(windows, brackets, memo, cfg)
     _fill(windows, [(w, x) for (w, _, _), x_star in zip(brackets, roots)
                     if not isinstance(x_star, FilippovError)
-                    for x in (x_star + 1e-6 * windows[w].radius,
-                              x_star - 1e-6 * windows[w].radius, x_star)],
+                    for x in _probed(windows[w].radius, x_star)],
           memo, cfg)
     found = [[] for _ in windows]
     for w, (window, plan, cycles) in enumerate(zip(windows, plans, found)):
@@ -221,15 +226,17 @@ def _refine_windows(windows, cfg, diagnostics) -> list:
 def _solve_brackets(windows, brackets, memo, cfg) -> list:
     """Root, or the error that ended its solve, of every bracket ``(window
     index, lo, hi)``, all by one lockstep :func:`chandrupatla` whose
-    iterations each integrate their new abscissae as one batch (see
-    :func:`_fill`)."""
+    iterations each integrate their new abscissae, and the slope probes
+    beside each (see :func:`_probed`), as one batch (see :func:`_fill`)."""
     if not brackets:
         return []
     errors: dict = {}
 
     def residual(xs, active):
         points = [(k, brackets[k][0], x) for k, x in zip(active.tolist(), xs.tolist())]
-        _fill(windows, [(w, x) for k, w, x in points if k not in errors], memo, cfg)
+        new = [(w, x) for k, w, x in points if k not in errors and (w, x) not in memo]
+        _fill(windows, [(w, p) for w, x in new
+                        for p in _probed(windows[w].radius, x)], memo, cfg)
         for k, w, x in points:
             if isinstance(memo.get((w, x)), FilippovError):
                 errors.setdefault(k, memo[w, x])
@@ -243,25 +250,29 @@ def _solve_brackets(windows, brackets, memo, cfg) -> list:
                 xs.tolist(), success.tolist(), status.tolist()))]
 
 
+def _probed(radius: float, x: float) -> tuple:
+    """``x`` and its two slope probes ``x +- SLOPE_STEP * radius``."""
+    step = SLOPE_STEP * radius
+    return x, x + step, x - step
+
+
 def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:
     """Append the cycle at the root ``x_star`` of ``window`` unless it repeats
     the last one or fails a check; ``sample(x)`` gives the known samples."""
     Z_b, b, window_center, radius = window[:4]
     if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
         return
-    step = 1e-6 * radius
-    ahead, behind = sample(x_star + step), sample(x_star - step)
+    root, ahead, behind = (sample(x) for x in _probed(radius, x_star))
     failed = [s for s in (ahead, behind) if isinstance(s, FilippovError)]
     if failed:
         diagnostics.append(
             f"derivative estimate failed at x={x_star:.9g}: {failed[0]}")
         return
-    deriv = (ahead.delta_value - behind.delta_value) / (2 * step)
+    deriv = (ahead.delta_value - behind.delta_value) / (2 * SLOPE_STEP * radius)
     if abs(deriv) <= HYPERBOLICITY_TOL:
         diagnostics.append(
             f"non-hyperbolic root at x={x_star:.9g}: |delta'|={abs(deriv):.3e}")
         return
-    root = sample(x_star)
     x_left = root.phi_minus
     pad = 1e-9 * radius
     sliding = [
@@ -288,10 +299,7 @@ def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:
 
 def _pairwise_disjoint(cycles) -> bool:
     chords = sorted((c.x_left, c.x_star) for c in cycles)
-    for (l0, r0), (l1, r1) in zip(chords, chords[1:]):
-        if r0 >= l1:
-            return False
-    return True
+    return all(r0 < l1 for (_, r0), (l1, _) in zip(chords, chords[1:]))
 
 
 def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
@@ -300,19 +308,20 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
     """Full cycle count for the unfolded, shifted field.
 
     Builds the perturbation at ``params.epsilon``, applies the ``b`` shift,
-    samples every contact window's grid in one batch, then searches each
-    invisible window for cycles as :func:`find_cycles_local` does and
-    sign-checks the coarse grids of the visible windows, which must stay
-    cycle-free.  ``expected_count`` is the
-    unfolding order ``k``; the report passes when exactly ``k`` hyperbolic
-    cycles are found, all sharing the stability dictated by the sign of
-    ``V2``, each enclosing a single sliding segment, pairwise disjoint on
-    the switching line.
+    and searches the invisible contact windows as :func:`find_cycles_local`
+    does, all in one batch.  Every other contact must be visible on both
+    sides: :func:`filippov.field.contact_info` decides it on the unfolded
+    field (the shift only translates the upper field), and a diagnostic
+    names each side that is not.  ``expected_count`` is the unfolding
+    order ``k``; the report passes when those contacts are visible and
+    exactly ``k`` hyperbolic cycles are found, all sharing the stability
+    dictated by the sign of ``V2``, each enclosing a single sliding
+    segment, pairwise disjoint on the switching line.
     """
     k = params.k
     data, V2, limit = census_data(Z, params)
     b = params.b
-    _, Zb = unfolded_shifted(Z, params, data)
+    Zu, Zb = unfolded_shifted(Z, params, data)
 
     node_set = [0.0] + [float(a) for a in params.lam]
     if k >= 2:
@@ -330,23 +339,13 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
                 f"predicted amplitude {predicted:.3e} exceeds half the "
                 f"window radius {radius:.3e}; reduce |b|")
 
-    # every window's grid in one batch, the invisible windows' roots in lockstep
     centers = [0.0] + [params.epsilon * float(a) for a in params.lam]
     invisible = sorted(expected_invisible_indices(k))
-    visible = sorted(set(range(2 * k - 1)) - set(invisible))
-    u_lo = _inner_offset(b, radius)
-    coarse = max(abs(b) * 2.0, radius * 1e-3)
-    windows = _sample_windows(
-        [(Zb, b, centers[i], radius, u_lo, GRID_POINTS) for i in invisible]
-        + [(Zb, b, centers[i], radius, coarse, VISIBLE_POINTS) for i in visible],
-        cfg)
-
     diagnostics: list = []
-    cycles = [c for found in _refine_windows(windows[:len(invisible)], cfg,
-                                             diagnostics) for c in found]
-    visible_hit = False
-    for window in windows[len(invisible):]:
-        visible_hit |= _sign_changes(window, cfg, diagnostics)
+    cycles = [c for found in _search_windows(
+        [(Zb, b, centers[i], radius) for i in invisible], cfg, diagnostics)
+        for c in found]
+    visible = _visible_contacts(Zu, centers, invisible, diagnostics)
 
     want_stability = "stable" if V2 < 0 else "unstable"
     passed = (
@@ -355,44 +354,47 @@ def cycle_census(Z: PiecewiseField, params: UnfoldingParams,
         and all(c.enclosed_segment is not None for c in cycles)
         and all(c.amplitude > abs(b) for c in cycles)
         and _pairwise_disjoint(cycles)
-        and not visible_hit
+        and visible
     )
     return CensusReport(k=k, b=b, convention=params.shift_convention,
                         cycles=cycles, expected_count=k, passed=passed,
                         diagnostics=diagnostics)
 
 
+def _visible_contacts(Zu: PiecewiseField, centers, invisible, diagnostics) -> bool:
+    """Whether every contact ``centers[i]``, ``i`` not in ``invisible``, is
+    visible on both sides of ``Zu``; a diagnostic names each side that is not."""
+    hidden = []
+    for i, x0 in enumerate(centers):
+        for side, _, f in () if i in invisible else Zu.sides():
+            try:
+                found = contact_info(f, x0, side).visibility
+            except FilippovError as exc:
+                found = f"unclassified ({type(exc).__name__}: {exc})"
+            if found != "visible":
+                hidden.append(f"contact {i} at x={x0:+.6g}: {side} side is "
+                              f"{found}, expected visible")
+    diagnostics += hidden
+    return not hidden
+
+
 class _Window(NamedTuple):
-    """A window of the field ``Z`` shifted by ``b``: its grid and its
-    samples (each a :class:`ReturnSample` or a :class:`FilippovError`)."""
+    """A window of the field ``Z`` shifted by ``b`` and its grid, ``center +
+    geomspace(u_lo, radius, GRID_POINTS)`` (``u_lo``: :func:`_inner_offset`)."""
 
     Z: PiecewiseField
     b: float
     center: float
     radius: float
-    grid: np.ndarray
-    samples: list
-
-
-def _sample_windows(specs, cfg) -> list:
-    """Displacement on the grid ``center + geomspace(u_lo, radius, n)`` of
-    every window ``(Z, b, center, radius, u_lo, n)`` in ``specs``, as one
-    batch (see :func:`_fill`).  One :class:`_Window` per spec, in order."""
-    windows = [_Window(Z, b, center, radius,
-                       center + np.geomspace(u_lo, radius, n), [])
-               for Z, b, center, radius, u_lo, n in specs]
-    memo: dict = {}
-    points = [[(w, x) for x in window.grid.tolist()]
-              for w, window in enumerate(windows)]
-    _fill(windows, [p for grid in points for p in grid], memo, cfg)
-    return [window._replace(samples=[memo[p] for p in grid])
-            for window, grid in zip(windows, points)]
+    grid: list
 
 
 def _fill(windows, points, memo: dict, cfg) -> None:
     """Add to ``memo`` the displacements at the ``(window index, x)`` points
     it lacks, as one batch, each with its window's field, base and bound."""
     todo = [p for p in dict.fromkeys(points) if p not in memo]
+    if not todo:
+        return
     at = [windows[w] for w, _ in todo]
     memo.update(zip(todo, displacements(
         [w.Z for w in at], [x for _, x in todo], cfg,
@@ -401,37 +403,18 @@ def _fill(windows, points, memo: dict, cfg) -> None:
                  for w in at])))
 
 
-def _values(window: _Window, diagnostics: list) -> list:
-    """The window's displacement values, None where a sample failed; one
-    diagnostic counts the failed samples per error class."""
-    failed = Counter(type(s).__name__ for s in window.samples
+def _values(window: _Window, samples: list, diagnostics: list) -> list:
+    """The values of the window's grid ``samples``, None where a sample
+    failed; one diagnostic counts the failed samples per error class."""
+    failed = Counter(type(s).__name__ for s in samples
                      if isinstance(s, FilippovError))
     if failed:
         classes = ", ".join(f"{name} {n}" for name, n in sorted(failed.items()))
         diagnostics.append(
             f"window {window.center:+.6g}: {sum(failed.values())} of "
-            f"{len(window.grid)} displacement samples failed ({classes})")
+            f"{len(samples)} displacement samples failed ({classes})")
     return [None if isinstance(s, FilippovError) else float(s.delta_value)
-            for s in window.samples]
-
-
-def _sign_changes(window: _Window, cfg, diagnostics) -> bool:
-    """Whether a visible window's displacement changes sign above noise,
-    skipping failed samples; a sign change is also reported."""
-    vals = _values(window, diagnostics)
-    if all(v is None for v in vals):
-        diagnostics.append(
-            f"visible window {window.center:+.6g}: no sample succeeded, the "
-            "sign check had no data")
-    hit = any(v0 is not None and v1 is not None and v0 != 0.0
-              and (v0 < 0) != (v1 < 0)
-              and max(abs(v0), abs(v1)) > cfg.noise_floor
-              for v0, v1 in zip(vals, vals[1:]))
-    if hit:
-        diagnostics.append(
-            "unexpected displacement sign change near visible contact "
-            f"at x={window.center:+.6g}")
-    return hit
+            for s in samples]
 
 
 def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,
@@ -460,12 +443,10 @@ def pseudo_hopf_scan(Z: PiecewiseField, b_values, convention: str,
             prediction = PseudoHopfPrediction.from_coefficient(
                 data.delta, est.coefficient, ell=est.order // 2)
 
-    windows = _sample_windows(
-        [(apply_shift(Z, b, convention), b, 0.0, window_radius,
-          _inner_offset(b, window_radius), GRID_POINTS)
-         for b in sorted(float(v) for v in b_values)], cfg)
+    specs = [(apply_shift(Z, b, convention), b, 0.0, window_radius)
+             for b in sorted(float(v) for v in b_values)]
     rows = []
-    for (Zb, b, *_), cycles in zip(windows, _refine_windows(windows, cfg, [])):
+    for (Zb, b, *_), cycles in zip(specs, _search_windows(specs, cfg, [])):
         kind = _split_pair_kind(Zb, b)
         predicted = None
         if prediction is not None and b != 0 and prediction.mu * b > 0:

@@ -19,10 +19,10 @@ coefficient tables ship as package data (``dop853.json``), and crossings
 are solved by :func:`filippov.roots.brent`.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
-order, and the right-hand side gives each lane a column of coefficients
-over the batch's monomials, summed in exponent order from a power table (a
-monomial the lane's field lacks adds an exact zero), so a lane's result is
-bit-identical alone or in any batch.
+order, and the right-hand side evaluates each lane's column of
+coefficients by nested Horner's rule, in ``x`` and then in ``y``, over the
+batch's exponent ranges (a monomial the lane's field lacks is an exact
+zero), so a lane's result is bit-identical alone or in any batch.
 """
 
 from __future__ import annotations
@@ -59,6 +59,18 @@ def _tables():
     t = json.loads(Path(__file__).with_name("dop853.json").read_text(
         encoding="utf-8"))
     return t["A"], t["E5"], t["E3"], t["D"], t["stages"]
+
+
+@functools.cache
+def _stage_arrays():
+    """:func:`_tables` with each ``[stage, coefficient]`` list as the
+    ``(stages, coefficients)`` arrays that :func:`_combine` takes."""
+    def pack(terms):
+        return (np.array([j for j, _ in terms], dtype=int),
+                np.array([a for _, a in terms], dtype=float)[:, None, None])
+
+    A, E5, E3, D, stages = _tables()
+    return [pack(r) for r in A], pack(E5), pack(E3), [pack(r) for r in D], stages
 
 
 def __getattr__(name):
@@ -111,12 +123,16 @@ class LyapunovEstimate(Record):
 
 
 def _combine(terms, K):
-    """``sum_j a_j K[j]`` over ``terms``, always in the same order."""
-    (j0, a0), *rest = terms
-    acc = a0 * K[j0]
-    for j, a in rest:
-        acc += a * K[j]
-    return acc
+    """``sum_j a_j K[j]`` over the ``(stages, coefficients)`` arrays ``terms``,
+    row after row: NumPy reduces the leading axis of a 3-D stack
+    sequentially (it sums pairwise only along a contiguous axis)."""
+    j, a = terms
+    return np.add.reduce(a * K[j], axis=0)
+
+
+def _horner(coeffs, v):
+    """``coeffs[0] * v**m + ... + coeffs[m]`` by Horner's rule."""
+    return functools.reduce(lambda acc, c: acc * v + c, coeffs)
 
 
 def _norm(v):
@@ -136,12 +152,11 @@ def _interpolate(F, y_old, thetas):
 
 def _interpolate1(coeffs, y_old: float, theta: float) -> float:
     """One component of one lane's dense output, as :func:`_interpolate`
-    computes it."""
-    v = 0.0
-    for i, c in enumerate(reversed(coeffs)):
-        v += c
-        v *= theta if i % 2 == 0 else 1.0 - theta
-    return v + y_old
+    computes it, operation for operation."""
+    c0, c1, c2, c3, c4, c5, c6 = coeffs
+    s = 1.0 - theta
+    return ((((((((0.0 + c6) * theta + c5) * s + c4) * theta + c3) * s + c2)
+              * theta + c1) * s + c0) * theta + y_old)
 
 
 class _Lanes:
@@ -160,38 +175,33 @@ class _Lanes:
         ids: dict = {}
         self.col = np.array([ids.setdefault(id(f), len(ids)) for f in fields])
         self.fields = list({id(f): f for f in fields}.values())
-        # per component: the sorted exponent pairs and their (terms, n) coefficients
-        self.terms, self.coeffs = [], []
+        # per component: (y power, x power, lane) coefficients, highest powers first
+        self.coeffs = []
         for polys in ([f.X.terms for f in self.fields],
                       [f.Y.terms for f in self.fields]):
-            keys = sorted(set().union(*polys))
-            table = np.array([[float(p.get(key, 0.0)) for p in polys]
-                              for key in keys]).reshape(len(keys), len(polys))
-            self.terms.append(keys)
-            self.coeffs.append(table[:, self.col])
-        self.x_powers = sorted({i for keys in self.terms for i, _ in keys if i})
-        self.y_powers = sorted({j for keys in self.terms for _, j in keys if j})
+            i_max = max((i for p in polys for i, _ in p), default=0)
+            j_max = max((j for p in polys for _, j in p), default=0)
+            table = np.zeros((j_max + 1, i_max + 1, len(polys)))
+            for n, p in enumerate(polys):
+                for (i, j), c in p.items():
+                    table[j_max - j, i_max - i, n] = float(c)
+            self.coeffs.append(table[:, :, self.col])
         self.y = np.array(y0, dtype=float)
         self.f = self.rhs(self.y)
         self.t = np.zeros(self.y.shape[1])
         self.h = np.full(self.y.shape[1], math.nan)
         self.rejected = np.zeros(self.y.shape[1], dtype=bool)
-        self.tables = _tables()
+        self.tables = _stage_arrays()
 
     def rhs(self, s):
         """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0.
 
-        Every lane sums its terms from zero as ``(c * x**i) * y**j``, as
-        :meth:`Poly2.eval` does but in exponent order, with the powers taken
-        once from a shared table and exponent-0 factors (exact ones) skipped."""
+        Nested Horner's rule per lane: in ``x`` for each power of ``y``, then
+        in ``y`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1)."""
         x, y = s
-        px = {i: x ** i for i in self.x_powers}
-        py = {j: y ** j for j in self.y_powers}
-        out = np.zeros_like(s)
-        for row, keys, coeffs in zip(out, self.terms, self.coeffs):
-            for (i, j), c in zip(keys, coeffs):
-                v = c * px[i] if i else c
-                row += v * py[j] if j else v
+        out = np.empty_like(s)
+        for row, table in zip(out, self.coeffs):
+            row[:] = _horner((_horner(coeffs, x) for coeffs in table), y)
         out *= self.sgn
         return out
 
@@ -266,7 +276,7 @@ class _Lanes:
         self.sgn, self.t, self.h = self.sgn[mask], self.t[mask], self.h[mask]
         self.y, self.f = self.y[:, mask], self.f[:, mask]
         self.rejected, self.col = self.rejected[mask], self.col[mask]
-        self.coeffs = [c[:, mask] for c in self.coeffs]
+        self.coeffs = [c[:, :, mask] for c in self.coeffs]
 
 
 def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,

@@ -1,14 +1,15 @@
 """Scenario files: the CLI's input format.
 
 A scenario is a JSON document with the four monomial lists of the field,
-optional unfolding parameters, optional integrator overrides (an
-:class:`IntegratorConfig`, which :mod:`filippov.flow` re-exports), a query
-window on the switching line, and an output directory.  Polynomials are
-arrays of ``[i, j, coefficient]`` triples; duplicate exponent pairs are
-rejected.  Every scalar is checked where it enters: ``k`` is an integer
-and every other number a real, neither a bool nor a string.  The
-``to_json_dict`` of a :class:`Scenario` is the normalized form (sorted
-monomials, explicit defaults) that ``--dump-normalized`` writes.
+optional blocks (absent when ``null``) of unfolding parameters, integrator
+overrides (an :class:`IntegratorConfig`, which :mod:`filippov.flow`
+re-exports) and a query window on the switching line, and an output
+directory.  Polynomials are arrays of ``[i, j, coefficient]`` triples;
+duplicate exponent pairs are rejected.  Every scalar is checked where it
+enters: ``k`` is an integer and every other number a real, neither a bool
+nor a string.  The ``to_json_dict`` of a :class:`Scenario` is the
+normalized form (sorted monomials, explicit defaults) that
+``--dump-normalized`` writes.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _optional_object(doc: dict, key: str) -> dict:
+    """The object under an optional ``key``, empty if absent or ``null``."""
+    value = doc.get(key)
+    return {} if value is None else _object(value, key)
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{where} must be a number, not {value!r}")
@@ -138,9 +145,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
             b=_number(u.get("b", 0.0), "unfold.b"),
             shift_convention=str(u.get("shift", "minus")))
 
-    wdoc = _object(doc.get("window") or {}, "window")
+    wdoc = _optional_object(doc, "window")
     overrides = {}
-    for key, value in _object(doc.get("integrator") or {}, "integrator").items():
+    for key, value in _optional_object(doc, "integrator").items():
         if key not in _INTEGRATOR_KEYS:
             raise InputError(f"unknown integrator option {key!r}")
         overrides[key] = _number(value, f"integrator option {key}")

@@ -449,6 +449,14 @@ def test_shipped_scenarios_parse():
         assert scenario_from_dict(s.to_json_dict()) == s
 
 
+def test_null_blocks_read_as_absent():
+    doc = json.loads((ROOT / "scenarios" / "two-fold-c1.json").read_text())
+    absent = scenario_from_dict({k: v for k, v in doc.items()
+                                 if k not in ("unfold", "window", "integrator")})
+    assert scenario_from_dict(
+        {**doc, "unfold": None, "window": None, "integrator": None}) == absent
+
+
 def test_override_without_unfold_block_writes_a_report(tmp_path):
     doc = json.loads((ROOT / "scenarios" / "c3-violation.json").read_text())
     doc["outputs"] = str(tmp_path / "out")
@@ -538,6 +546,26 @@ def _empty_outputs(doc):
     doc["outputs"] = ""
 
 
+def _window_false(doc):
+    doc["window"] = False
+
+
+def _window_zero(doc):
+    doc["window"] = 0
+
+
+def _window_empty_list(doc):
+    doc["window"] = []
+
+
+def _integrator_empty_string(doc):
+    doc["integrator"] = ""
+
+
+def _integrator_zero(doc):
+    doc["integrator"] = 0
+
+
 @pytest.mark.parametrize("edit, argv, loads", [
     (_text_coefficient, ["classify"], False),
     (_nan_coefficient, ["classify"], False),
@@ -574,6 +602,11 @@ def _empty_outputs(doc):
     (_null_outputs, ["classify"], False),
     (_empty_outputs, ["classify"], False),
     (None, ["scan", "--b-values=,"], True),
+    (_window_false, ["classify"], False),
+    (_window_zero, ["classify"], False),
+    (_window_empty_list, ["classify"], False),
+    (_integrator_empty_string, ["classify"], False),
+    (_integrator_zero, ["classify"], False),
 ])
 def test_non_finite_or_non_numeric_input_exits_one(tmp_path, monkeypatch,
                                                    edit, argv, loads):

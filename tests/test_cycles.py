@@ -21,7 +21,8 @@ from filippov import (
     pseudo_hopf_scan,
 )
 from filippov import flow
-from filippov.cycles import GRID_POINTS, VISIBLE_POINTS, ScanRow
+from filippov import cycles as cycles_module
+from filippov.cycles import GRID_POINTS, ScanRow
 from filippov.errors import (
     InputError,
     ScaleSeparationViolated,
@@ -233,26 +234,36 @@ def test_census_base_order(cfg):
 ])
 def test_root_solve_spends_few_displacements(cfg, monkeypatch, k, lam, eps, b):
     # every census window holds one root; the grid is integrated in one
-    # batch, and solving the root, its finite-difference slope and its
-    # chord cost at most 8 displacements beyond the grid
+    # batch, and each root-solve iteration integrates its new abscissa with
+    # the two slope probes beside it, so at most 4 batches of at most 3
+    # displacements follow the grid and none follows the root solve
     params = UnfoldingParams(k=k, lam=lam, epsilon=eps, b=b,
                              shift_convention="minus")
     _, Zb = unfolded_shifted(monodromic_family(k, 1.0), params)
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
     batches = []
+    chandrupatla = cycles_module.chandrupatla
 
     def counted_batch(Z, xs, *args, **kwargs):
         batches.append(len(xs))
         return displacements(Z, xs, *args, **kwargs)
 
-    monkeypatch.setattr("filippov.cycles.displacements", counted_batch)
+    def marked(*args):
+        out = chandrupatla(*args)
+        batches.append("solved")
+        return out
+
+    monkeypatch.setattr(cycles_module, "displacements", counted_batch)
+    monkeypatch.setattr(cycles_module, "chandrupatla", marked)
     for i in sorted(expected_invisible_indices(k)):
         batches.clear()
         found = find_cycles_local(Zb, eps * lam[i - 1], radius, b, cfg)
         assert len(found) == 1
         assert batches[0] == GRID_POINTS
-        assert 0 < sum(batches[1:]) <= 8
+        assert batches[-1] == "solved"
+        assert 0 < len(batches[1:-1]) <= 4
+        assert all(0 < n <= 3 for n in batches[1:-1])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -277,7 +288,7 @@ def test_census_shares_one_grid_batch(cfg, monkeypatch, k):
     rep = cycle_census(Z, params, cfg)
     big = [fields for fields in batches if len(fields) >= GRID_POINTS]
     assert len(big) == 1
-    assert len(big[0]) == 2 * (k * GRID_POINTS + (k - 1) * VISIBLE_POINTS)
+    assert len(big[0]) == 2 * k * GRID_POINTS
     assert len({id(f) for f in big[0]}) == 2
     assert rep.passed and len(rep.cycles) == k
     _, Zb = unfolded_shifted(Z, params)
@@ -369,10 +380,15 @@ def test_failed_root_solve_is_one_diagnostic(cfg, monkeypatch):
 # Lane rounds per operation: at most half of what one-window Brent
 # refinement with sequential upper and lower arcs took (101, 130, 129, 220).
 ROUND_CAPS = {"census_k2": 50, "census_k3": 65, "census_k4": 64, "scan_k1": 110}
+# Exactly, at seed 0: the producing censuses, the k = 1 scan and the null
+# censuses.  A census integrates only its invisible windows, and every
+# root-solve iteration carries its slope probes.
+EXACT_ROUNDS = {"census_k2": 28, "census_k3": 26, "census_k4": 22,
+                "scan_k1": 25, "null_k2": 8, "null_k3": 11, "null_k4": 12}
 
 
-@pytest.mark.parametrize("op", sorted(ROUND_CAPS))
-def test_rounds_per_operation(cfg, monkeypatch, op):
+def _rounds(cfg, monkeypatch, op) -> int:
+    """`_Lanes.attempt` calls of one operation, after checking its outcome."""
     rounds = []
     attempt = flow._Lanes.attempt
 
@@ -386,8 +402,43 @@ def test_rounds_per_operation(cfg, monkeypatch, op):
         assert sum(r.n_cycles for r in table.rows) == 3
     else:
         Z, params, _ = _producing_census(int(op[-1]))
-        assert cycle_census(Z, params, cfg).passed
-    assert len(rounds) <= ROUND_CAPS[op]
+        if op.startswith("null"):
+            params = dataclasses.replace(params, b=-params.b)
+        rep = cycle_census(Z, params, cfg)
+        assert rep.passed == op.startswith("census")
+        assert len(rep.cycles) == (params.k if rep.passed else 0)
+    return len(rounds)
+
+
+@pytest.mark.parametrize("op", sorted(ROUND_CAPS))
+def test_rounds_per_operation(cfg, monkeypatch, op):
+    assert _rounds(cfg, monkeypatch, op) <= ROUND_CAPS[op]
+
+
+@pytest.mark.parametrize("op", sorted(EXACT_ROUNDS))
+def test_census_rounds(cfg, monkeypatch, op):
+    assert _rounds(cfg, monkeypatch, op) == EXACT_ROUNDS[op]
+
+
+@pytest.mark.parametrize("k, c, hidden", [
+    (4, 2.5, ["contact 0 at x=+0", "contact 3 at x=+0.06", "contact 5 at x=+0.12"]),
+    (3, 2.9, ["contact 3 at x=+0.1"]),
+    (4, 1.0, []),
+    (3, 1.0, []),
+])
+def test_census_requires_visible_contacts(cfg, k, c, hidden):
+    # from c ~ 2 the upper field's second tangency turns expected-visible
+    # contacts invisible; the census names each one and does not pass
+    lam, eps, mag = CENSUS[k]
+    Z = monodromic_family(k, c)
+    data = classify_mts(Z)
+    good = cycle_producing_sign(data.delta, data.V2, "minus")
+    rep = cycle_census(Z, UnfoldingParams(k=k, lam=lam, epsilon=eps, b=good * mag,
+                                          shift_convention="minus"), cfg)
+    named = [d for d in rep.diagnostics if d.startswith("contact ")]
+    assert named == [f"{where}: upper side is invisible, expected visible"
+                     for where in hidden]
+    assert rep.passed == (not hidden)
 
 
 def test_census_scale_separation_guard(cfg):

@@ -1,9 +1,12 @@
 """Flow layer: arc integration, half-return maps, displacement samples."""
 
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import level_set_return
@@ -21,7 +24,7 @@ from filippov import (
 from filippov import flow
 from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SmoothField
-from filippov.flow import _interpolate, _Lanes
+from filippov.flow import _interpolate, _interpolate1, _Lanes
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
@@ -199,6 +202,75 @@ def test_lane_step_control_follows_scipy(sgn, first_step):
     assert len(got[0]) == len(ref[0]) >= 8
     assert np.max(np.abs(got[0] - ref[0])) <= 1e-5
     assert np.max(np.abs(got[1] - ref[1])) <= 1e-5
+
+
+# -- kernels: crossings, stage sums and the right-hand side -----------------------
+
+_COEFF = st.floats(-1e100, 1e100, allow_nan=False)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(_COEFF, min_size=7, max_size=7), _COEFF, st.floats(0.0, 1.0))
+def test_interpolate1_is_interpolate_bit_for_bit(coeffs, y_old, theta):
+    F = np.array(coeffs)[:, None, None]
+    want = _interpolate(F, np.array([[y_old]]), [theta])[0, 0, 0]
+    assert np.float64(_interpolate1(coeffs, y_old, theta)).tobytes() \
+        == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 600])
+def test_combine_adds_stages_in_order(n):
+    # every stage sum equals the sequential loop `acc += a * K[j]` bit for
+    # bit, over values of mixed scale so that any other order would show
+    A, E5, E3, D, _ = flow._tables()
+    A_, E5_, E3_, D_, _ = flow._stage_arrays()
+    rng = np.random.default_rng(n)
+    K = (rng.standard_normal((len(A), 2, n))
+         * 10.0 ** rng.integers(-12, 13, (len(A), 2, n)))
+    rows = list(zip(A[1:], A_[1:])) + [(E5, E5_), (E3, E3_)] + list(zip(D, D_))
+    for terms, packed in rows:
+        (j0, a0), *rest = terms
+        acc = a0 * K[j0]
+        for j, a in rest:
+            acc += a * K[j]
+        assert flow._combine(packed, K).tobytes() == acc.tobytes()
+
+
+_MONOMIALS = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 3)),
+    st.floats(-10.0, 10.0, allow_nan=False).filter(bool), min_size=1, max_size=10)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_MONOMIALS, _MONOMIALS), min_size=1, max_size=3),
+       st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                          st.sampled_from([1.0, -1.0])), min_size=1, max_size=8))
+def test_horner_rhs_within_rounding_bound(polys, lanes):
+    # nested Horner agrees with Poly2.eval within both evaluations' rounding
+    # bounds added (Higham, Accuracy and Stability of Numerical Algorithms,
+    # section 5.1): Horner through dx + dy multiply-adds, Poly2.eval through
+    # three products and a sum of T terms, each operation off by at most one
+    # subnormal spacing more where it underflows; and each lane gives the
+    # same bits alone as in the batch, whose other fields pad it with zeros
+    fields = [SmoothField(Poly2(X), Poly2(Y)) for X, Y in polys]
+    at = [fields[n % len(fields)] for n in range(len(lanes))]
+    s = np.array([(x, y) for x, y, _ in lanes]).T
+    sgn = [g for _, _, g in lanes]
+    batch = _Lanes(at, s, sgn, 1e-10, 1e-12).rhs(s)
+    u = sys.float_info.epsilon / 2
+    for n, (field, (x, y, g)) in enumerate(zip(at, lanes)):
+        alone = _Lanes([field], s[:, n:n + 1], [g], 1e-10, 1e-12).rhs(s[:, n:n + 1])
+        assert alone.tobytes() == batch[:, n:n + 1].tobytes()
+        for row, component in enumerate(("X", "Y")):
+            terms = [getattr(f, component).terms for f in fields]
+            dx = max((i for t in terms for i, _ in t), default=0)
+            dy = max((j for t in terms for _, j in t), default=0)
+            poly = getattr(field, component)
+            steps = dx + dy + len(poly.terms) + 3
+            scale = sum(abs(c) * abs(x) ** i * abs(y) ** j
+                        for (i, j), c in poly.terms.items())
+            bound = 2 * steps * (u * scale + math.ulp(0.0))
+            assert abs(batch[row, n] - g * poly.eval(x, y)) <= bound
 
 
 def _census_grid(k, lam, eps, b, window, visible=False):

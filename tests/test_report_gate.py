@@ -37,6 +37,24 @@ def test_diff_prints_the_diagnostics_of_one_side(tmp_path, capsys):
     ]
 
 
+def test_diff_names_the_place_of_the_largest_delta(tmp_path, capsys):
+    # the largest absolute delta wins, and is also given relative to the
+    # first tree's value; bools and strings are not numbers
+    docs = {"a": {"status": "ok", "payload": {"cycles": [
+                {"x_star": 0.1, "derivative": 3e-4, "ok": True}]}},
+            "b": {"status": "ok", "payload": {"cycles": [
+                {"x_star": 0.1 + 1e-12, "derivative": 3.6e-4, "ok": False}]}}}
+    for name, doc in docs.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "s.cycles.json").write_text(json.dumps(doc))
+    assert report_gate.diff(tmp_path / "a", tmp_path / "b") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: s.cycles.json, largest numeric delta 6.000e-05 at "
+        "/payload/cycles[0]/derivative (2.0e-01 relative)",
+        "0 of 1 files byte-identical",
+    ]
+
+
 def test_run_strips_the_keys_that_differ_by_construction(tmp_path):
     report = tmp_path / "s.scan.json"
     report.write_text(json.dumps({

@@ -13,8 +13,9 @@ the keys that differ between any two runs by construction: a report's
 scenario's ``outputs`` directory.
 
 ``diff`` compares two such trees: it counts the byte-identical files and
-prints the largest numeric difference in each differing JSON file, then
-the diagnostic lines (a report's ``diagnostics``, a run's stderr) found on
+prints the largest numeric difference in each differing JSON file, with
+its JSON path and its size relative to the first tree's value, then the
+diagnostic lines (a report's ``diagnostics``, a run's stderr) found on
 one side only, ``-`` for the first tree and ``+`` for the second.  It
 exits 1 when a file exists on one side only, or when an exit code or a
 report ``status`` differs; otherwise 0.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -94,18 +96,22 @@ def run(repo: Path, out: Path) -> int:
     return 0
 
 
-def _max_delta(a, b) -> float:
-    """Largest absolute difference between numbers at the same place."""
+def _max_delta(a, b, path: str = "") -> tuple:
+    """``(delta, path, value)``: the largest absolute difference between
+    numbers at the same place, its JSON path (``/key``, ``[index]``) and
+    the number there in ``a``; the first such place wins a tie."""
     if isinstance(a, bool) or isinstance(b, bool):
-        return 0.0
+        return 0.0, path, a
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        return abs(float(a) - float(b))
+        return abs(float(a) - float(b)), path, float(a)
     if isinstance(a, dict) and isinstance(b, dict):
-        return max((_max_delta(a[k], b[k]) for k in a.keys() & b.keys()),
-                   default=0.0)
-    if isinstance(a, list) and isinstance(b, list):
-        return max((_max_delta(u, v) for u, v in zip(a, b)), default=0.0)
-    return 0.0
+        places = [(f"{path}/{k}", a[k], b[k]) for k in sorted(a.keys() & b.keys())]
+    elif isinstance(a, list) and isinstance(b, list):
+        places = [(f"{path}[{i}]", u, v) for i, (u, v) in enumerate(zip(a, b))]
+    else:
+        places = []
+    return max((_max_delta(u, v, p) for p, u, v in places),
+               key=lambda found: found[0], default=(0.0, path, None))
 
 
 def _diagnostics(doc) -> dict:
@@ -137,7 +143,11 @@ def diff(a: Path, b: Path) -> int:
             print(f"differs: {rel}")
             continue
         u, v = json.loads(left), json.loads(right)
-        line = f"differs: {rel}, largest numeric delta {_max_delta(u, v):.3e}"
+        delta, path, value = _max_delta(u, v)
+        line = f"differs: {rel}, largest numeric delta {delta:.3e}"
+        if delta:
+            relative = delta / abs(value) if value else math.inf
+            line += f" at {path} ({relative:.1e} relative)"
         for key in ("exit_code", "status"):
             if u.get(key) != v.get(key):
                 line += f"; {key} {u.get(key)!r} -> {v.get(key)!r}"
