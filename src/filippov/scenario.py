@@ -91,8 +91,7 @@ def _object(value, where: str) -> dict:
 
 def _optional_object(doc: dict, key: str) -> dict:
     """The object under an optional ``key``, empty if absent or ``null``."""
-    value = doc.get(key)
-    return {} if value is None else _object(value, key)
+    return {} if doc.get(key) is None else _object(doc[key], key)
 
 
 def _number(value, where: str) -> float:
