@@ -8,9 +8,10 @@ scenario has loaded, every failure writes its report.  Every file but the
 portrait's SVG is written by :mod:`filippov.record`.
 
 Each command imports the layers it needs when it runs: ``classify``,
-``unfold``, ``verify-ladder`` and ``verify-v2-limit`` load neither numpy
-nor :mod:`filippov.flow`, :mod:`filippov.cycles` or
-:mod:`filippov.portrait`; ``verify-lemma1`` loads numpy but no orbit layer.
+``unfold``, ``verify-ladder``, ``verify-v2-limit`` and ``verify-lemma1``
+load neither numpy nor :mod:`filippov.flow`, :mod:`filippov.cycles` or
+:mod:`filippov.portrait`; ``verify-lemma1 --draws`` loads numpy for its
+random draws, but no orbit layer.
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
-brackets candidate roots, Chandrupatla's method
-(:func:`filippov.roots.chandrupatla`) solves the brackets of all windows
-in lockstep, and a central-difference derivative, probed within the root
-solve, decides hyperbolicity and stability (a first-return contraction,
-i.e. negative derivative, is stable).  Every accepted cycle must enclose
-exactly one sliding segment strictly inside its chord on the line.  An
-orbit from a visible fold has no local return (Kuznetsov, Rinaldi &
-Gragnani, *IJBC* 13 (2003) 2157-2188), so a census searches only the
-invisible contact windows and checks the visible ones algebraically.
+brackets candidate roots, Brent's method (:func:`filippov.roots.brents`)
+solves the brackets of all windows in lockstep, and a central-difference
+derivative, probed within the root solve, decides hyperbolicity and
+stability (a first-return contraction, i.e. negative derivative, is
+stable).  Every accepted cycle must enclose exactly one sliding segment
+strictly inside its chord on the line.  An orbit from a visible fold has
+no local return (Kuznetsov, Rinaldi & Gragnani, *IJBC* 13 (2003)
+2157-2188), so a census searches only the invisible contact windows and
+checks the visible ones algebraically.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .flow import (
     estimate_lyapunov,
 )
 from .record import Record
-from .roots import chandrupatla
+from .roots import brents
 from .unfold import (
     UnfoldingParams,
     apply_shift,
@@ -205,7 +205,7 @@ def _search_windows(specs, cfg, diagnostics) -> list:
 
     roots = _solve_brackets(windows, brackets, memo, cfg)
     _fill(windows, [(w, x) for (w, _, _), x_star in zip(brackets, roots)
-                    if not isinstance(x_star, FilippovError)
+                    if not isinstance(x_star, Exception)
                     for x in _probed(windows[w].radius, x_star)],
           memo, cfg)
     found = [[] for _ in windows]
@@ -213,7 +213,7 @@ def _search_windows(specs, cfg, diagnostics) -> list:
         for item in plan:
             if isinstance(item, str):
                 diagnostics.append(item)
-            elif isinstance(roots[item], FilippovError):
+            elif isinstance(roots[item], Exception):
                 _, lo, hi = brackets[item]
                 diagnostics.append(
                     f"window {window.center:+.6g}: root solve in bracket ({lo:.9g}, "
@@ -226,29 +226,19 @@ def _search_windows(specs, cfg, diagnostics) -> list:
 
 def _solve_brackets(windows, brackets, memo, cfg) -> list:
     """Root, or the error that ended its solve, of every bracket ``(window
-    index, lo, hi)``, all by one lockstep :func:`chandrupatla` whose
-    iterations each integrate their new abscissae, and the slope probes
-    beside each (see :func:`_probed`), as one batch (see :func:`_fill`)."""
-    if not brackets:
-        return []
-    errors: dict = {}
-
-    def residual(xs, active):
-        points = [(k, brackets[k][0], x) for k, x in zip(active.tolist(), xs.tolist())]
-        new = [(w, x) for k, w, x in points if k not in errors and (w, x) not in memo]
-        _fill(windows, [(w, p) for w, x in new
+    index, lo, hi)``, all by one lockstep :func:`brents` whose rounds each
+    integrate their new abscissae, and the slope probes beside each (see
+    :func:`_probed`), as one batch (see :func:`_fill`)."""
+    def residual(xs, ids):
+        points = [(brackets[i][0], x) for i, x in zip(ids, xs)]
+        _fill(windows, [(w, p) for w, x in points if (w, x) not in memo
                         for p in _probed(windows[w].radius, x)], memo, cfg)
-        for k, w, x in points:
-            if isinstance(memo.get((w, x)), FilippovError):
-                errors.setdefault(k, memo[w, x])
-        return np.array([math.nan if k in errors else memo[w, x].delta_value
-                         for k, w, x in points])
+        samples = [memo[p] for p in points]
+        return [s if isinstance(s, FilippovError) else s.delta_value
+                for s in samples]
 
-    _, lo, hi = zip(*brackets)
-    xs, success, status = chandrupatla(residual, lo, hi, ROOT_RESIDUAL_TOL)
-    return [errors.get(k, x if ok else FilippovError(f"chandrupatla status {st}"))
-            for k, (x, ok, st) in enumerate(zip(
-                xs.tolist(), success.tolist(), status.tolist()))]
+    return brents(residual, [(lo, hi) for _, lo, hi in brackets],
+                  ROOT_RESIDUAL_TOL)
 
 
 def _probed(radius: float, x: float) -> tuple:

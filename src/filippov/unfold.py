@@ -518,27 +518,23 @@ def _exactify_field(Z: PiecewiseField) -> PiecewiseField:
 def _rescaled_coefficient_curves(Z, k, lam):
     """``C_j(eps)`` sampled on the grid ``{h, h/2, h/4}`` with
     ``h = LEMMA1_STEP``, then the value and first derivative at zero from the
-    quadratic through the samples."""
-    import numpy as np
-
+    quadratic through the samples, by its Lagrange weights."""
     data = classify_mts(Z)
     h = LEMMA1_STEP
-    eps_grid = [h, h / 2, h / 4]
     n = 2 * k - 2
     samples = {"plus": [], "minus": []}
-    for eps in eps_grid:
+    for eps in (h, h / 2, h / 4):
         params = UnfoldingParams(k=k, lam=tuple(lam), epsilon=eps)
         polys = build_perturbation(Z, params, data)
         for name, p in (("plus", polys.p_plus), ("minus", polys.p_minus)):
             samples[name].append(
                 [float(p.coeff(j)) / eps ** (2 * k - 1 - j)
                  for j in range(1, n + 1)])
-    V = np.vander(np.array(eps_grid), 3, increasing=True)  # [1, eps, eps^2]
     out = {}
-    for name in ("plus", "minus"):
-        mat = np.array(samples[name])  # shape (3, n)
-        fit = np.linalg.solve(V, mat)  # rows: value, slope, curvature
-        out[name] = (list(fit[0]), list(fit[1]))
+    for name, rows in samples.items():
+        at = list(zip(*rows))  # per j: C_j(h), C_j(h/2), C_j(h/4)
+        out[name] = ([c1 / 3 - 2 * c2 + 8 * c4 / 3 for c1, c2, c4 in at],
+                     [(-2 * c1 + 10 * c2 - 8 * c4) / h for c1, c2, c4 in at])
     return data, out
 
 

@@ -332,7 +332,8 @@ scenarios, out = sys.argv[1:]
 runs = [(name, "classify") for name in
         ("c3-violation", "four-fold-c1", "six-fold-c1", "two-fold-c1")]
 runs += [(name, command) for name in ("four-fold-c1", "six-fold-c1")
-         for command in ("unfold", "verify-ladder", "verify-v2-limit")]
+         for command in ("unfold", "verify-ladder", "verify-v2-limit",
+                         "verify-lemma1")]
 codes = [main([command, "--config", f"{scenarios}/{name}.json", "--out", out])
          for name, command in runs]
 orbit = sorted(m for m in sys.modules
@@ -351,9 +352,9 @@ def _reports_without_timestamps(out: Path) -> dict:
 
 
 def test_algebraic_commands_run_without_numpy(tmp_path):
-    """With numpy unimportable, ``classify``, ``unfold``, ``verify-ladder``
-    and ``verify-v2-limit`` exit and report as in a normal run, and load
-    none of the orbit layers."""
+    """With numpy unimportable, ``classify``, ``unfold``, ``verify-ladder``,
+    ``verify-v2-limit`` and ``verify-lemma1`` exit and report as in a
+    normal run, and load none of the orbit layers."""
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY, str(ROOT / "scenarios"),
          str(tmp_path / "blocked")],
@@ -365,7 +366,7 @@ def test_algebraic_commands_run_without_numpy(tmp_path):
                     "--out", str(tmp_path / "normal")])
               for name, command in result["runs"]]
     assert result["codes"] == normal
-    assert normal == [1, 0, 0, 0] + [0] * 6
+    assert normal == [1, 0, 0, 0] + [0] * 8
     blocked = _reports_without_timestamps(tmp_path / "blocked")
     assert len(blocked) == len(result["runs"])
     assert blocked == _reports_without_timestamps(tmp_path / "normal")

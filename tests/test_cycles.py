@@ -22,7 +22,7 @@ from filippov import (
 )
 from filippov import flow
 from filippov import cycles as cycles_module
-from filippov.cycles import GRID_POINTS, ScanRow
+from filippov.cycles import GRID_POINTS, ROOT_RESIDUAL_TOL, ScanRow
 from filippov.errors import (
     InputError,
     ScaleSeparationViolated,
@@ -127,11 +127,20 @@ def test_dichotomy_flips_with_coefficient(cfg, c):
 
 
 def test_cycle_root_residual(cfg):
-    Z = monodromic_family(1, 1.0)
+    # one window of the splitting scan, then the acceptance censuses, each
+    # cycle on its shifted field from its window's base
     b = -1e-4
-    Zb = apply_shift(Z, b, "minus")
-    c = find_cycles_local(Zb, 0.0, 0.3, b, cfg, [])[0]
-    assert abs(displacement(Zb, c.x_star, cfg).delta_value) < 1e-10
+    Zb = apply_shift(monodromic_family(1, 1.0), b, "minus")
+    runs = [(1, Zb, find_cycles_local(Zb, 0.0, 0.3, b, cfg, []))]
+    for k in (2, 3, 4):
+        Z, params, _ = _producing_census(k)
+        runs.append((k, unfolded_shifted(Z, params)[1],
+                     cycle_census(Z, params, cfg).cycles))
+    for k, Zb, found in runs:
+        assert len(found) == k
+        for c in found:
+            residual = displacement(Zb, c.x_star, cfg, c.window_center)
+            assert abs(residual.delta_value) <= ROOT_RESIDUAL_TOL
 
 
 # -- scan ---------------------------------------------------------------------------
@@ -243,19 +252,19 @@ def test_root_solve_spends_few_displacements(cfg, monkeypatch, k, lam, eps, b):
     nodes = (0.0,) + lam
     radius = eps * min(abs(u - v) for u in nodes for v in nodes if u != v) / 3
     batches = []
-    chandrupatla = cycles_module.chandrupatla
+    brents = cycles_module.brents
 
     def counted_batch(Z, xs, *args, **kwargs):
         batches.append(len(xs))
         return displacements(Z, xs, *args, **kwargs)
 
     def marked(*args):
-        out = chandrupatla(*args)
+        out = brents(*args)
         batches.append("solved")
         return out
 
     monkeypatch.setattr(cycles_module, "displacements", counted_batch)
-    monkeypatch.setattr(cycles_module, "chandrupatla", marked)
+    monkeypatch.setattr(cycles_module, "brents", marked)
     for i in sorted(expected_invisible_indices(k)):
         batches.clear()
         found = find_cycles_local(Zb, eps * lam[i - 1], radius, b, cfg)
@@ -383,7 +392,7 @@ ROUND_CAPS = {"census_k2": 50, "census_k3": 65, "census_k4": 64, "scan_k1": 110}
 # Exactly, at seed 0: the producing censuses, the k = 1 scan and the null
 # censuses.  A census integrates only its invisible windows, and every
 # root-solve iteration carries its slope probes.
-EXACT_ROUNDS = {"census_k2": 28, "census_k3": 26, "census_k4": 22,
+EXACT_ROUNDS = {"census_k2": 23, "census_k3": 26, "census_k4": 22,
                 "scan_k1": 25, "null_k2": 8, "null_k3": 11, "null_k4": 12}
 
 

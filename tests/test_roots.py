@@ -8,15 +8,13 @@ import math
 import random
 from unittest import mock
 
-import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
-from scipy.optimize.elementwise import find_root
 
 from filippov import flow, roots
 from filippov.cycles import ROOT_RESIDUAL_TOL
-from filippov.roots import BRENT_TOL, brent, chandrupatla
+from filippov.errors import FilippovError
+from filippov.roots import BRENT_TOL, brent, brents
 
 _coeff = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
 _end = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
@@ -89,55 +87,114 @@ def test_brent_raises_after_its_iteration_cap():
     assert _outcomes(step, -1e300, 1e300) == (RuntimeError, RuntimeError)
 
 
-def _recorded(calls, coeffs, nan_from):
-    """Elementwise polynomials ``coeffs[i]`` (rows, ascending), NaN at or
-    above ``nan_from[i]``; every call's abscissae and indices are logged."""
-    def f(x, idx):
-        calls.append((x.tolist(), idx.tolist()))
-        v = np.zeros_like(x)
-        for c in coeffs[idx].T[::-1]:
-            v = v * x + c
-        return np.where(x >= nan_from[idx], np.nan, v)
+_SPECIALS = ["none", "zero-a", "zero-b", "negzero-a", "negzero-b", "tiny-a",
+             "tiny-b", "nan-inside", "one-sign"]
+
+
+def _bracket_function(coeffs, a, b, special, error=None):
+    """The polynomial ``coeffs`` on ``[a, b]`` with ``special`` applied:
+    an exact (signed) zero or a value below :data:`ROOT_RESIDUAL_TOL` at an
+    end, NaN beyond the midpoint, or values of one sign.  With an
+    ``error``, it returns that error inside the bracket instead of a
+    value."""
+    override = {"zero-a": (a, 0.0), "zero-b": (b, 0.0), "negzero-a": (a, -0.0),
+                "negzero-b": (b, -0.0), "tiny-a": (a, ROOT_RESIDUAL_TOL / 2),
+                "tiny-b": (b, -ROOT_RESIDUAL_TOL / 2)}.get(special)
+    cut = (a + b) / 2
+
+    def f(x):
+        if override is not None and x == override[0]:
+            return override[1]
+        if error is not None and x not in (a, b):
+            return error
+        if special == "nan-inside" and (x - cut) * (b - a) > 0 and x != b:
+            return math.nan
+        v = _horner(coeffs, x)
+        return v * v + abs(coeffs[0]) + 1e-300 if special == "one-sign" else v
     return f
 
 
+def _brentq_run(f, a, b):
+    """``brentq``'s outcome on ``f`` (``repr`` of the root, the exception
+    class, or the error ``f`` returned) and the abscissae it evaluated."""
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        v = f(x)
+        if isinstance(v, FilippovError):
+            raise v
+        return v
+    try:
+        out = repr(brentq(g, a, b, xtol=BRENT_TOL, rtol=BRENT_TOL))
+    except FilippovError as exc:
+        out = exc
+    except (ValueError, RuntimeError) as exc:
+        out = type(exc)
+    return out, seen
+
+
+def _brents_run(fs, brackets, fatol):
+    """:func:`brents` on the scalar functions ``fs``: the results and, per
+    round, the abscissae ``f`` was called with, by bracket."""
+    rounds = []
+
+    def f(xs, ids):
+        rounds.append(list(zip(ids, xs)))
+        return [fs[i](x) for i, x in zip(ids, xs)]
+    return brents(f, brackets, fatol), rounds
+
+
+def _outcome_of(result):
+    """A :func:`brents` result as :func:`_brentq_run` reports its outcome."""
+    if isinstance(result, float):
+        return repr(result)
+    return result if isinstance(result, FilippovError) else type(result)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(rows=st.lists(st.tuples(st.lists(_coeff, min_size=8, max_size=8),
-                               _end, _end), min_size=1, max_size=12),
-       nan_row=st.integers(0, 11), scale=st.sampled_from([1.0, 1e-6, 1e-12]))
-def test_chandrupatla_matches_find_root(rows, nan_row, scale):
-    """Random vector brackets, one element with a NaN residual over the upper
-    part of its bracket: the same ``x``, ``success`` and ``status``, and
-    ``f`` called with the same active abscissae and compressed indices."""
-    coeffs = np.array([c for c, _, _ in rows]) * scale
-    lo = np.array([min(a, b) for _, a, b in rows])
-    hi = np.array([max(a, b) for _, a, b in rows])
-    nan_from = np.full(len(rows), np.inf)
-    nan_from[nan_row % len(rows)] = (lo + hi)[nan_row % len(rows)] / 2
+@given(rows=st.lists(st.tuples(st.lists(_coeff, min_size=1, max_size=8),
+                               _end, _end, st.sampled_from(_SPECIALS)),
+                     min_size=1, max_size=12),
+       error_row=st.integers(0, 11), scale=st.sampled_from([1.0, 1e-6, 1e-12]))
+def test_brents_matches_brentq(rows, error_row, scale):
+    """Up to 12 random polynomial brackets in lockstep, with exact (signed)
+    zeros and values below ``fatol`` at an end, a NaN region, ends of one
+    sign, and one bracket whose ``f`` returns an error inside it.  At ``fatol = 0`` each
+    bracket gives ``brentq``'s root to the bit, its exception class, or the
+    error ``f`` returned, and ``f`` sees each pending abscissa once per
+    round, in ``brentq``'s order.  At ``fatol = ROOT_RESIDUAL_TOL`` a bracket
+    evaluates its ``fatol = 0`` iterates up to the first with ``|f| <=
+    fatol`` (both ends at least), and its root is one of them with ``|f| <=
+    fatol``; where no iterate has, its outcome is that of ``fatol = 0``."""
+    error = FilippovError("sample failed")
+    fs = [_bracket_function([c * scale for c in coeffs], a, b, special,
+                            error if i == error_row % len(rows) else None)
+          for i, (coeffs, a, b, special) in enumerate(rows)]
+    brackets = [(a, b) for _, a, b, _ in rows]
+    expected = [_brentq_run(f, a, b) for f, (a, b) in zip(fs, brackets)]
 
-    calls_ours, calls_ref = [], []
-    x, success, status = chandrupatla(
-        _recorded(calls_ours, coeffs, nan_from), lo, hi, ROOT_RESIDUAL_TOL)
-    ref = find_root(_recorded(calls_ref, coeffs, nan_from), (lo, hi),
-                    args=(np.arange(len(rows)),),
-                    tolerances=dict(xrtol=BRENT_TOL, fatol=ROOT_RESIDUAL_TOL,
-                                    frtol=0.0))
-    np.testing.assert_array_equal(x, ref.x)
-    np.testing.assert_array_equal(np.signbit(x), np.signbit(ref.x))
-    np.testing.assert_array_equal(success, ref.success)
-    np.testing.assert_array_equal(status, ref.status)
-    assert calls_ours == calls_ref
+    results, rounds = _brents_run(fs, brackets, 0.0)
+    assert [_outcome_of(r) for r in results] == [out for out, _ in expected]
+    for r, calls in enumerate(rounds):
+        assert [i for i, _ in calls] == [i for i, (_, seen) in enumerate(expected)
+                                         if len(seen) > r]
+        assert all(repr(x) == repr(expected[i][1][r]) for i, x in calls)
 
-
-def test_chandrupatla_statuses():
-    """A converged root, a same-sign bracket and a NaN bracket."""
-    def f(x, idx):
-        return np.where(idx == 2, np.nan, x * x - 2.0)
-    x, success, status = chandrupatla(f, [0.0, 2.0, 0.0], [2.0, 3.0, 1.0],
-                                      np.finfo(float).smallest_normal)
-    assert x[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert success.tolist() == [True, False, False]
-    assert status.tolist() == [0, -1, -3]
+    tol = ROOT_RESIDUAL_TOL
+    results, rounds = _brents_run(fs, brackets, tol)
+    for i, (result, (out, seen)) in enumerate(zip(results, expected)):
+        values = [fs[i](x) for x in seen]
+        small = [j for j, v in enumerate(values)
+                 if isinstance(v, float) and abs(v) <= tol]
+        stop = max(small[0], 1) + 1 if small else len(seen)
+        iterates = [x for calls in rounds for j, x in calls if j == i]
+        assert [repr(x) for x in iterates] == [repr(x) for x in seen[:stop]]
+        if small and all(isinstance(v, float) and not math.isnan(v)
+                         for v in values[:stop]):
+            assert result in iterates and abs(fs[i](result)) <= tol
+        else:
+            assert _outcome_of(result) == out
 
 
 def test_dop853_tables_match_scipy_module():
