@@ -2,9 +2,10 @@
 
 Crossing limit cycles are located as simple roots of the displacement
 function measured on the switching line: a sign-scan over a geometric grid
-brackets candidate roots, Brent's method (:func:`filippov.roots.brents`)
-solves the brackets of all windows in lockstep, and a central-difference
-derivative, probed within the root solve, decides hyperbolicity and
+brackets candidate roots, each solved from the cubic Hermite interpolant
+of its ends' values and exact slopes and, where needed, one safeguarded
+Newton step (``rtsafe``; Press et al., *Numerical Recipes*, 3rd ed.,
+section 9.4).  The exact slope at the root decides hyperbolicity and
 stability (a first-return contraction, i.e. negative derivative, is
 stable).  Every accepted cycle must enclose exactly one sliding segment
 strictly inside its chord on the line.  An orbit from a visible fold has
@@ -36,7 +37,7 @@ from .flow import (
     estimate_lyapunov,
 )
 from .record import Record
-from .roots import brents
+from .roots import brent
 from .unfold import (
     UnfoldingParams,
     apply_shift,
@@ -47,12 +48,13 @@ from .unfold import (
 )
 
 # Roots with |d(delta)/dx| at or below this margin carry no honest stability
-# claim and are reported instead of returned.
+# claim and are reported instead of returned.  The slope is dimensionless
+# (a length per length), so the margin is on the scale of the identity
+# map's slope 1, whatever the window's size.
 HYPERBOLICITY_TOL = 1e-8
 
 ROOT_RESIDUAL_TOL = 1e-12
 GRID_POINTS = 50
-SLOPE_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -153,8 +155,9 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
 
     Scans the displacement on a geometric grid of offsets
     ``(|b|*(1+1e-3), radius)`` from the window center, solves each sign
-    change to residual ``1e-12``, takes the slope from two probes and the
-    chord's left end from the root's lower arc, and checks sliding-segment
+    change from the Hermite interpolant of its ends and, where the
+    residual exceeds ``1e-12``, one Newton step, takes the slope and the
+    chord's left end from the root's sample, and checks sliding-segment
     enclosure.  Non-hyperbolic roots, failed root solves and windows where
     the displacement never leaves the noise floor ("center") are reported
     through ``diagnostics``, not returned.
@@ -175,9 +178,9 @@ def _inner_offset(b: float, radius: float) -> float:
 
 def _search_windows(specs, cfg, diagnostics) -> list:
     """:func:`find_cycles_local` on every window ``(Z, b, center, radius)``
-    of ``specs``: all grids as one batch (see :func:`_fill`), all brackets
-    in one lockstep root solve that also integrates the slope probes.  The
-    cycles per window; diagnostics appended in window order."""
+    of ``specs``: all grids as one batch (see :func:`_fill`), then all
+    brackets' roots together (see :func:`_solve_brackets`).  The cycles per
+    window; diagnostics appended in window order."""
     windows = [_Window(Z, b, center, radius, (center + np.geomspace(
                    _inner_offset(b, radius), radius, GRID_POINTS)).tolist())
                for Z, b, center, radius in specs]
@@ -204,12 +207,8 @@ def _search_windows(specs, cfg, diagnostics) -> list:
                 brackets.append((w, grid[i], grid[i + 1]))
 
     roots = _solve_brackets(windows, brackets, memo, cfg)
-    _fill(windows, [(w, x) for (w, _, _), x_star in zip(brackets, roots)
-                    if not isinstance(x_star, Exception)
-                    for x in _probed(windows[w].radius, x_star)],
-          memo, cfg)
     found = [[] for _ in windows]
-    for w, (window, plan, cycles) in enumerate(zip(windows, plans, found)):
+    for window, plan, cycles in zip(windows, plans, found):
         for item in plan:
             if isinstance(item, str):
                 diagnostics.append(item)
@@ -219,52 +218,75 @@ def _search_windows(specs, cfg, diagnostics) -> list:
                     f"window {window.center:+.6g}: root solve in bracket ({lo:.9g}, "
                     f"{hi:.9g}) failed: {type(roots[item]).__name__}: {roots[item]}")
             else:
-                _add_cycle(window, roots[item], lambda x: memo[w, x], cycles,
-                           diagnostics)
+                _add_cycle(window, roots[item], cycles, diagnostics)
     return found
 
 
 def _solve_brackets(windows, brackets, memo, cfg) -> list:
-    """Root, or the error that ended its solve, of every bracket ``(window
-    index, lo, hi)``, all by one lockstep :func:`brents` whose rounds each
-    integrate their new abscissae, and the slope probes beside each (see
-    :func:`_probed`), as one batch (see :func:`_fill`)."""
-    def residual(xs, ids):
-        points = [(brackets[i][0], x) for i, x in zip(ids, xs)]
-        _fill(windows, [(w, p) for w, x in points if (w, x) not in memo
-                        for p in _probed(windows[w].radius, x)], memo, cfg)
-        samples = [memo[p] for p in points]
-        return [s if isinstance(s, FilippovError) else s.delta_value
-                for s in samples]
+    """The root sample, or the error that ended its solve, of every bracket
+    ``(window index, lo, hi)``: all :func:`_hermite_root` estimates as one
+    batch (see :func:`_fill`), then all :func:`_newton_step` results as a
+    second batch, which is empty when every residual is on target."""
+    def sampled(xs):
+        _fill(windows, [(w, x) for (w, _, _), x in zip(brackets, xs)
+                        if isinstance(x, float)], memo, cfg)
+        return [memo[w, x] if isinstance(x, float) else x
+                for (w, _, _), x in zip(brackets, xs)]
 
-    return brents(residual, [(lo, hi) for _, lo, hi in brackets],
-                  ROOT_RESIDUAL_TOL)
-
-
-def _probed(radius: float, x: float) -> tuple:
-    """``x`` and its two slope probes ``x +- SLOPE_STEP * radius``."""
-    step = SLOPE_STEP * radius
-    return x, x + step, x - step
+    xs = [_hermite_root(memo[w, lo], memo[w, hi]) for w, lo, hi in brackets]
+    return sampled([r if isinstance(r, Exception) else _newton_step(
+                        memo[w, lo], memo[w, hi], r)
+                    for (w, lo, hi), r in zip(brackets, sampled(xs))])
 
 
-def _add_cycle(window, x_star, sample, cycles, diagnostics) -> None:
-    """Append the cycle at the root ``x_star`` of ``window`` unless it repeats
-    the last one or fails a check; ``sample(x)`` gives the known samples."""
+def _hermite_root(lo, hi) -> float | ValueError:
+    """The root between the samples ``lo`` and ``hi`` of the cubic Hermite
+    interpolant of their values and slopes, by :func:`brent` on the
+    bracket's unit parameter, or its ``ValueError`` (a NaN slope)."""
+    h = hi.x - lo.x
+    f0, f1 = lo.delta_value, hi.delta_value
+    m0, m1 = h * lo.derivative, h * hi.derivative
+
+    def cubic(t):
+        s = 1.0 - t
+        return s * s * ((1.0 + 2.0 * t) * f0 + t * m0) \
+            + t * t * ((3.0 - 2.0 * t) * f1 - s * m1)
+    try:
+        return lo.x + brent(cubic, 0.0, 1.0) * h
+    except ValueError as exc:
+        return exc
+
+
+def _newton_step(lo, hi, root) -> float:
+    """The abscissa of the sample ``root`` when its residual is at most
+    :data:`ROOT_RESIDUAL_TOL`, else its Newton step, or the midpoint of the
+    part of the bracket ``(lo, hi)`` that holds the sign change when the
+    step leaves it."""
+    if abs(root.delta_value) <= ROOT_RESIDUAL_TOL:
+        return root.x
+    a, b = ((lo.x, root.x) if (lo.delta_value < 0) != (root.delta_value < 0)
+            else (root.x, hi.x))
+    x = (root.x - root.delta_value / root.derivative if root.derivative
+         else math.nan)
+    return x if a < x < b else (a + b) / 2
+
+
+def _add_cycle(window, root, cycles, diagnostics) -> None:
+    """Append the cycle at the root sample ``root`` of ``window`` unless it
+    repeats the last one or fails a check."""
     Z_b, b, window_center, radius = window[:4]
+    x_star, deriv, x_left = root.x, root.derivative, root.phi_minus
     if cycles and abs(x_star - cycles[-1].x_star) <= 1e-9 * radius:
         return
-    root, ahead, behind = (sample(x) for x in _probed(radius, x_star))
-    failed = [s for s in (ahead, behind) if isinstance(s, FilippovError)]
-    if failed:
-        diagnostics.append(
-            f"derivative estimate failed at x={x_star:.9g}: {failed[0]}")
-        return
-    deriv = (ahead.delta_value - behind.delta_value) / (2 * SLOPE_STEP * radius)
-    if abs(deriv) <= HYPERBOLICITY_TOL:
+    if not abs(deriv) > HYPERBOLICITY_TOL:
         diagnostics.append(
             f"non-hyperbolic root at x={x_star:.9g}: |delta'|={abs(deriv):.3e}")
         return
-    x_left = root.phi_minus
+    if not x_left < x_star:
+        diagnostics.append(
+            f"root at x={x_star:.9g} has no chord: its lower return "
+            f"{x_left:.9g} is not left of it")
+        return
     pad = 1e-9 * radius
     sliding = [
         seg for seg in sigma_regions(Z_b, (x_left, x_star))

@@ -14,9 +14,13 @@ own: an escape ends it with :class:`NotInWindow`, a sign change is its
 return, solved on its interpolant by Brent's method.  The start lies
 exactly on the line, and a point after an exact zero is never marked, so
 the start itself never counts as a return.  Trajectories are kept only
-for callers that draw them.  No scipy module is imported: the DOP853
-coefficient tables ship as package data (``dop853.json``), and crossings
-are solved by :func:`filippov.roots.brent`.
+for callers that draw them.  A third state row, ``int div F dt``, which
+step control never reads, gives each return's slope exactly as
+``phi'(x) = Y(x, 0) / Y(phi, 0) * exp(int div F dt)`` (Andronov,
+Leontovich, Gordon & Maier 1973); a batch of divergence-free fields, whose
+integral is exactly 0, carries no such row.  No scipy module is imported:
+the DOP853 coefficient tables ship as package data (``dop853.json``), and
+crossings are solved by :func:`filippov.roots.brent`.
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
 order, and the right-hand side evaluates each lane's column of
@@ -103,6 +107,7 @@ class ReturnSample:
     phi_plus: float
     phi_minus: float
     delta_value: float
+    derivative: float  # d(delta_value)/dx, from the return-map slopes
 
 
 @dataclass(frozen=True)
@@ -162,10 +167,13 @@ def _interpolate1(coeffs, y_old: float, theta: float) -> float:
 class _Lanes:
     """Independent DOP853 integrations, one per lane, each of its own field.
 
-    Per-lane arrays: states ``y`` and derivatives ``f`` of shape (2, n);
-    time ``t``, next step size ``h`` and the rejected-since-last-acceptance
-    flag of shape (n,).  Time runs forward in every lane; ``sgn`` = -1
-    reverses the field for a lane integrated backward.  Lane ``n`` follows
+    Per-lane arrays: states ``y`` and derivatives ``f`` of shape (rows,
+    n), the rows ``x`` and ``y`` from ``y0``, then ``int div F dt`` from 0
+    unless every field is divergence-free (the integral is then exactly 0);
+    step control reads rows 0-1 only.  Time ``t``, next step size ``h`` and
+    the rejected-since-last-acceptance flag have shape (n,).  Time runs
+    forward in every lane; ``sgn`` = -1 reverses the field (and its
+    divergence) for a lane integrated backward.  Lane ``n`` follows
     ``fields[col[n]]``, the batch's fields being distinct by identity.
     """
 
@@ -175,10 +183,13 @@ class _Lanes:
         ids: dict = {}
         self.col = np.array([ids.setdefault(id(f), len(ids)) for f in fields])
         self.fields = list({id(f): f for f in fields}.values())
-        # per component: (y power, x power, lane) coefficients, highest powers first
+        # per row (X, Y, div F): (y power, x power, lane) coefficients,
+        # highest powers first
+        div = [(f.X.partial("x") + f.Y.partial("y")).terms for f in self.fields]
         self.coeffs = []
-        for polys in ([f.X.terms for f in self.fields],
-                      [f.Y.terms for f in self.fields]):
+        for polys in ([[f.X.terms for f in self.fields],
+                       [f.Y.terms for f in self.fields]]
+                      + ([div] if any(div) else [])):
             i_max = max((i for p in polys for i, _ in p), default=0)
             j_max = max((j for p in polys for _, j in p), default=0)
             table = np.zeros((j_max + 1, i_max + 1, len(polys)))
@@ -186,20 +197,22 @@ class _Lanes:
                 for (i, j), c in p.items():
                     table[j_max - j, i_max - i, n] = float(c)
             self.coeffs.append(table[:, :, self.col])
-        self.y = np.array(y0, dtype=float)
-        self.f = self.rhs(self.y)
+        y0 = np.array(y0, dtype=float)
+        self.y = np.vstack([y0, np.zeros((len(self.coeffs) - 2, y0.shape[1]))])
+        self.f = self.rhs(y0)
         self.t = np.zeros(self.y.shape[1])
         self.h = np.full(self.y.shape[1], math.nan)
         self.rejected = np.zeros(self.y.shape[1], dtype=bool)
         self.tables = _stage_arrays()
 
     def rhs(self, s):
-        """Field at the states ``s`` (shape (2, n)), reversed where ``sgn`` < 0.
+        """Field, and divergence where the lanes carry it, at the ``(x, y)``
+        states ``s`` (shape (2, n)), reversed where ``sgn`` < 0.
 
         Nested Horner's rule per lane: in ``x`` for each power of ``y``, then
         in ``y`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1)."""
         x, y = s
-        out = np.empty_like(s)
+        out = np.empty((len(self.coeffs),) + x.shape)
         for row, table in zip(out, self.coeffs):
             row[:] = _horner((_horner(coeffs, x) for coeffs in table), y)
         out *= self.sgn
@@ -208,13 +221,13 @@ class _Lanes:
     def select_initial_step(self, interval, max_step) -> None:
         """``scipy.integrate._ivp.common.select_initial_step`` per lane; as
         there, an empty ``interval`` gives a zero step."""
-        y, f = self.y, self.f
+        y, f = self.y[:2], self.f[:2]
         scale = self.atol + np.abs(y) * self.rtol
         d0 = _norm(y / scale) / math.sqrt(2.0)
         d1 = _norm(f / scale) / math.sqrt(2.0)
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
         h0 = np.minimum(h0, interval)
-        f1 = self.rhs(y + h0 * f)
+        f1 = self.rhs(y + h0 * f)[:2]
         d2 = _norm((f1 - f) / scale) / math.sqrt(2.0) / h0
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
@@ -227,8 +240,8 @@ class _Lanes:
 
         Returns the masks ``(accepted, failed)``; failed lanes needed a
         step below ``min_step``.  Accepted lanes advance, and the step's
-        start ``y_old`` and dense-output coefficients ``F`` (shape (7, 2, n))
-        are kept for every lane.
+        start ``y_old`` and dense-output coefficients ``F`` (shape (7, rows,
+        n)) are kept for every lane.
         """
         t, y, f = self.t, self.y, self.f
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -242,14 +255,16 @@ class _Lanes:
         A, E5, E3, D, stages = self.tables
         K = np.empty((len(A),) + y.shape)
         K[0] = f
+        Kxy = K[:, :2]  # the stages and the error estimate read no integral
         for s in range(1, stages):
-            K[s] = self.rhs(y + _combine(A[s], K) * h)
+            K[s] = self.rhs(y[:2] + _combine(A[s], Kxy) * h)
         y_new = y + h * _combine(A[stages], K)
-        K[stages] = f_new = self.rhs(y_new)
+        K[stages] = f_new = self.rhs(y_new[:2])
 
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        err5 = _norm(_combine(E5, K) / scale) ** 2
-        err3 = _norm(_combine(E3, K) / scale) ** 2
+        scale = (self.atol + np.maximum(np.abs(y[:2]), np.abs(y_new[:2]))
+                 * self.rtol)
+        err5 = _norm(_combine(E5, Kxy) / scale) ** 2
+        err3 = _norm(_combine(E3, Kxy) / scale) ** 2
         norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * 2.0)
         norm = np.where((err5 == 0) & (err3 == 0), 0.0, norm)
         factor = _SAFETY * norm ** _ERROR_EXPONENT
@@ -261,7 +276,7 @@ class _Lanes:
         self.rejected = ~accepted
 
         for s in range(stages + 1, len(A)):
-            K[s] = self.rhs(y + _combine(A[s], K) * h)
+            K[s] = self.rhs(y[:2] + _combine(A[s], Kxy) * h)
         delta = y_new - y
         self.F = np.stack([delta, h * f - delta, 2 * delta - h * (f_new + f)]
                           + [h * _combine(row, K) for row in D])
@@ -287,10 +302,10 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
     for a lane integrated along its field, -1 against it; ``windows`` holds
     each lane's ``(lo, hi)`` abscissa bound, or None for an unbounded lane.
     Returns, per lane, ``(x_return, trajectory)`` (with ``paths``) or
-    ``x_return`` alone, or the :class:`FilippovError` that ended the lane;
-    trajectories are ``(n, 2)`` arrays of ``(x, y)`` states ending at the
-    located crossing.  At a mesh point that both leaves the window and
-    changes sign, the escape wins.
+    ``(x_return, exp(int sgn * div F dt))``, or the :class:`FilippovError` that
+    ended the lane; trajectories are ``(n, 2)`` arrays of ``(x, y)`` states
+    ending at the located crossing.  At a mesh point that both leaves the
+    window and changes sign, the escape wins.
     """
     n = len(starts)
     out: list = [None] * n
@@ -316,10 +331,10 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
                     "Required step size is less than spacing between numbers.")
             steps = np.flatnonzero(accepted)
             at = ids[steps]
-            mesh = _interpolate(lanes.F[:, :, steps], lanes.y_old[:, steps],
+            mesh = _interpolate(lanes.F[:, :2, steps], lanes.y_old[:2, steps],
                                 _THETAS)
             xs, ys = mesh[:, 0], mesh[:, 1]
-            prev = np.concatenate([lanes.y_old[1:, steps], ys[:-1]])
+            prev = np.concatenate([lanes.y_old[1:2, steps], ys[:-1]])
             cross = ((prev != 0) & (ys == 0)) | (prev * ys < 0)
             escape = bounded[at] & ~((lo[at] <= xs) & (xs <= hi[at]))
             flagged = cross | escape
@@ -331,15 +346,18 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
                     out[j] = NotInWindow(f"arc reached x={xs[m, a]:.6g} "
                                          f"outside window {windows[j]}")
                     continue
-                cx, cy = lanes.F[:, 0, i].tolist(), lanes.F[:, 1, i].tolist()
-                x0, y0 = lanes.y_old[:, i].tolist()
+                cx, cy, *cz = lanes.F[:, :, i].T.tolist()
+                x0, y0, *z0 = lanes.y_old[:, i].tolist()
                 th_star = _THETAS[m] if ys[m, a] == 0.0 else brent(
                     lambda s: _interpolate1(cy, y0, s),
                     _THETAS[m - 1] if m else 0.0, _THETAS[m])
                 x_star = _interpolate1(cx, x0, th_star)
-                out[j] = x_star if not paths else (x_star, np.concatenate(
-                    trails[j] + [mesh[:m, :, a],
-                                 [[x_star, _interpolate1(cy, y0, th_star)]]]))
+                if paths:
+                    out[j] = x_star, np.concatenate(trails[j] + [
+                        mesh[:m, :, a], [[x_star, _interpolate1(cy, y0, th_star)]]])
+                else:  # exp(0) = 1 where the lanes carry no integral
+                    out[j] = x_star, (float(np.exp(_interpolate1(
+                        cz[0], z0[0], th_star))) if cz else 1.0)
             timeout = ~done & (lanes.t >= cfg.max_time)
             for i in np.flatnonzero(timeout):
                 out[ids[i]] = NoReturn(
@@ -367,7 +385,7 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
     t_scale = np.empty(lanes.y.shape[1])
     for n, field in enumerate(lanes.fields):
         at = lanes.col == n
-        x, y = lanes.y[:, at]
+        x, y = lanes.y[:2, at]
         vy0 = np.zeros(len(x)) + field.Y.eval(x, y)
         acc = (np.zeros(len(x))
                + field.Y.partial("x").eval(x, y) * field.X.eval(x, y)
@@ -408,25 +426,29 @@ def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
     ``sigma``'s half-plane, forward in time where ``sigma * Y(x, 0) > 0``,
     backward otherwise, bounded by ``window`` (None for unbounded).  Per
     lane: ``(x_return, trajectory)`` as :func:`integrate_to_sigma` gives
-    it, or with ``returns`` the return abscissa alone (see
-    :func:`half_return`), or the :class:`FilippovError` that ended the
-    lane (a tangency start is an :class:`InputError`)."""
+    it, or with ``returns`` the return abscissa and the slope of the
+    half-return map there (see :func:`half_return`), or the
+    :class:`FilippovError` that ended the lane (a tangency start is an
+    :class:`InputError`)."""
     out: list = [None] * len(lanes)
     moving, signs = [], []
     for n, (field, sigma, x, _) in enumerate(lanes):
         y0 = float(field.Y.eval(x, 0.0))
         if y0 != 0.0:
-            moving.append(n)
+            moving.append((n, y0))
             signs.append(1.0 if sigma * y0 > 0.0 else -1.0)
         elif returns and x == 0.0:
-            out[n] = 0.0
+            out[n] = (0.0, math.nan)
         else:
             out[n] = InputError(
                 f"({x}, 0) is a tangency point; the half-return map is undefined")
-    go = [lanes[n] for n in moving]
+    go = [lanes[n] for n, _ in moving]
     arcs = _arcs([f for f, _, _, _ in go], [(float(x), 0.0) for _, _, x, _ in go],
                  signs, [w for _, _, _, w in go], cfg, not returns)
-    for n, arc in zip(moving, arcs):
+    for (n, y0), (field, *_), arc in zip(moving, go, arcs):
+        if returns and not isinstance(arc, FilippovError):
+            y1 = float(field.Y.eval(arc[0], 0.0))  # 0 at a tangency: no slope
+            arc = arc[0], (y0 / y1 * arc[1] if y1 else math.inf)
         out[n] = arc
     return out
 
@@ -439,7 +461,7 @@ def half_return(Z: PiecewiseField, side: str, x: float,
     vanishing vertical component returns 0; elsewhere see :func:`half_arcs`.
     """
     return _one(half_arcs([(Z.side(side), SIGMA[side], x, None)], cfg,
-                          returns=True)[0])
+                          returns=True)[0])[0]
 
 
 def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,
@@ -472,7 +494,9 @@ def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,
         failed = [r for r in (pp, pm) if isinstance(r, FilippovError)]
         delta = 1.0 if orient[n] > 0 else -1.0
         out[n] = failed[0] if failed else ReturnSample(
-            x=xs[n], phi_plus=pp, phi_minus=pm, delta_value=delta * (pp - pm))
+            x=xs[n], phi_plus=pp[0], phi_minus=pm[0],
+            delta_value=delta * (pp[0] - pm[0]),
+            derivative=delta * (pp[1] - pm[1]))
     return out
 
 

@@ -1,12 +1,10 @@
 """Brent's bracketing root-finder (Brent, *Algorithms for Minimization
-without Derivatives*, 1973), written once as the generator :func:`_steps`
-and driven two ways: :func:`brent` solves one bracket (arc crossings,
-polynomial roots), :func:`brents` solves many brackets in lockstep, one
-call of ``f`` per round (cycle roots).
+without Derivatives*, 1973): arc crossings, polynomial roots on the line,
+and the cycle roots of the displacement's Hermite interpolant.
 
 The steps are a port of ``scipy.optimize.brentq`` (scipy's
-``Zeros/brentq.c``), so that at ``fatol = 0`` both functions return scipy's
-roots bit for bit without importing it.
+``Zeros/brentq.c``), so that :func:`brent` returns scipy's roots bit for
+bit without importing it.
 """
 
 from __future__ import annotations
@@ -23,27 +21,25 @@ def _signbit(v: float) -> bool:
     return math.copysign(1.0, v) < 0
 
 
-def _checked(x: float, fx) -> float:
-    fx = float(fx)
-    if math.isnan(fx):
-        raise ValueError(f"the function value at x={x} is NaN")
-    return fx
+def brent(f, a: float, b: float) -> float:
+    """A root of ``f`` in the bracket ``[a, b]``, as ``brentq`` finds it with
+    ``xtol = rtol = BRENT_TOL``.
 
-
-def _steps(a: float, b: float, fatol: float):
-    """Brent's iteration on the bracket ``[a, b]``: yields each abscissa, is
-    sent its value, and returns the root, an abscissa whose ``|f|`` is at
-    most ``fatol`` or whose bracket is shorter than the tolerance.
-
-    Raises ``ValueError`` for a NaN value or ends whose values have the same
-    sign bit, ``RuntimeError`` after :data:`BRENT_MAXITER` iterations.
+    Raises ``ValueError`` for a NaN value of ``f`` or ends whose values have
+    the same sign bit, ``RuntimeError`` after :data:`BRENT_MAXITER`
+    iterations.
     """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
     xpre, xcur = float(a), float(b)
-    fpre = _checked(xpre, (yield xpre))
-    fcur = _checked(xcur, (yield xcur))
-    if abs(fpre) <= fatol:
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
         return xpre
-    if abs(fcur) <= fatol:
+    if fcur == 0:
         return xcur
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
@@ -57,7 +53,7 @@ def _steps(a: float, b: float, fatol: float):
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if abs(fcur) <= fatol or abs(sbis) < delta:
+        if fcur == 0 or abs(sbis) < delta:
             return xcur
         short = False
         if abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -72,49 +68,6 @@ def _steps(a: float, b: float, fatol: float):
         spre, scur = (scur, stry) if short else (sbis, sbis)  # else bisect
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = _checked(xcur, (yield xcur))
+        fcur = value(xcur)
     raise RuntimeError(f"no convergence after {BRENT_MAXITER} iterations, "
                        f"value is {xcur}")
-
-
-def brent(f, a: float, b: float) -> float:
-    """A root of ``f`` in the bracket ``[a, b]``, as ``brentq`` finds it with
-    ``xtol = rtol = BRENT_TOL``; raises as :func:`_steps` does."""
-    steps = _steps(a, b, 0.0)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def brents(f, brackets, fatol: float = 0.0) -> list:
-    """A root, or the exception that ended its solve, of every bracket
-    ``(a, b)``, all solved by :func:`_steps` in lockstep.
-
-    Each round calls ``f(xs, ids)`` once, with the pending abscissae ``xs``
-    of the brackets numbered ``ids``; ``f`` returns, per abscissa, its value
-    or an exception, which ends that bracket and is its result.  The
-    ``ValueError`` and ``RuntimeError`` of :func:`_steps` are results too.
-    """
-    out: list = [None] * len(brackets)
-    pending = {}
-    for i, (a, b) in enumerate(brackets):
-        steps = _steps(a, b, fatol)
-        pending[i] = steps, next(steps)
-    while pending:
-        ids = list(pending)
-        values = f([x for _, x in pending.values()], ids)
-        for i, fx in zip(ids, values):
-            steps, _ = pending.pop(i)
-            if isinstance(fx, Exception):
-                out[i] = fx
-                continue
-            try:
-                pending[i] = steps, steps.send(fx)
-            except StopIteration as stop:
-                out[i] = stop.value
-            except (ValueError, RuntimeError) as exc:
-                out[i] = exc
-    return out

@@ -146,6 +146,50 @@ def test_tolerance_scaling(cfg):
     assert abs(a - b) < 5e-9
 
 
+# -- return-map slopes ---------------------------------------------------------------
+
+@pytest.mark.parametrize("k, c", [(1, 1.0), (2, 1.0), (3, -2.0)])
+def test_slopes_of_divergence_free_fields(cfg, k, c):
+    # monodromic_family fields are divergence-free, so each half-return
+    # slope is Y(x, 0) / Y(phi, 0); in a batch with a field of divergence 1
+    # (the last lane), which carries the integral row, their integrals stay
+    # exactly 0 (so exp of each is 1) and their returns are those of the
+    # batch without that row
+    Z = monodromic_family(k, c)
+    xs = np.concatenate([-np.geomspace(0.02, 0.3, 6), np.geomspace(0.02, 0.3, 6)])
+    for s in displacements(Z, xs, cfg):
+        want = (Z.upper.Y.eval(s.x, 0.0) / Z.upper.Y.eval(s.phi_plus, 0.0)
+                - Z.lower.Y.eval(s.x, 0.0) / Z.lower.Y.eval(s.phi_minus, 0.0))
+        assert s.derivative == pytest.approx(want, rel=1e-12, abs=0.0)
+    lanes = [(field, float(x), -1.0 if sigma * field.Y.eval(x, 0.0) < 0 else 1.0)
+             for x in xs for _, sigma, field in Z.sides()]
+    lanes.append((cross_coupled_system().upper, 0.1, -1.0))
+
+    def returns(lanes):
+        return flow._arcs([f for f, _, _ in lanes], [(x, 0.0) for _, x, _ in lanes],
+                          [g for _, _, g in lanes], [None] * len(lanes), cfg,
+                          paths=False)
+    arcs = returns(lanes)
+    rates = [rate for _, rate in arcs]
+    assert rates[:-1] == [1.0] * (len(lanes) - 1) and rates[-1] < 1.0
+    assert [x.hex() for x, _ in arcs[:-1]] == [x.hex() for x, _ in returns(lanes[:-1])]
+
+
+def test_slope_carries_the_divergence_integral(cfg):
+    # the upper field (1, -x + y) has div F = 1 and x' = 1, so an arc from
+    # (x, 0) to (phi, 0) takes the signed time T = phi - x, and implicit
+    # differentiation of its return phi + 1 = (x + 1) e^T gives
+    # phi' = x e^T / phi; paths keep their two columns (x, y)
+    Z = cross_coupled_system()
+    xs = np.concatenate([-np.geomspace(0.005, 0.2, 6), np.geomspace(0.005, 0.2, 6)])
+    lanes = [(Z.upper, 1, float(x), None) for x in xs]
+    for x, (phi, slope), (phi_path, path) in zip(
+            xs, flow.half_arcs(lanes, cfg, returns=True), flow.half_arcs(lanes, cfg)):
+        assert slope == pytest.approx(x * math.exp(phi - x) / phi, rel=1e-8)
+        assert phi_path == phi
+        assert path.shape[1] == 2 and path[-1, 0] == phi
+
+
 # -- lanes -------------------------------------------------------------------------
 
 def _pendulum():
@@ -176,8 +220,8 @@ def _lane_vs_scipy(sgn, T, rtol, atol, max_step, first_step):
         assert not failed[0]
         if accepted[0]:
             ts.append(lanes.t[0])
-            ys.append(lanes.y[:, 0].copy())
-            mids.append(_interpolate(lanes.F, lanes.y_old, [0.5])[0, :, 0])
+            ys.append(lanes.y[:2, 0].copy())
+            mids.append(_interpolate(lanes.F, lanes.y_old, [0.5])[0, :2, 0])
     ref_mids = ref.sol(0.5 * (ref.t[:-1] + ref.t[1:])).T
     return (np.array(ts), np.array(ys), np.array(mids)), (ref.t, ref.y.T, ref_mids)
 
@@ -251,8 +295,10 @@ def test_horner_rhs_within_rounding_bound(polys, lanes):
     # section 5.1): Horner through dx + dy multiply-adds, Poly2.eval through
     # three products and a sum of T terms, each operation off by at most one
     # subnormal spacing more where it underflows; and each lane gives the
-    # same bits alone as in the batch, whose other fields pad it with zeros
+    # same bits alone as in the batch, whose other fields pad it with zeros.
+    # The rows are X, Y and, unless every field is divergence-free, div F.
     fields = [SmoothField(Poly2(X), Poly2(Y)) for X, Y in polys]
+    rows = {id(f): (f.X, f.Y, f.X.partial("x") + f.Y.partial("y")) for f in fields}
     at = [fields[n % len(fields)] for n in range(len(lanes))]
     s = np.array([(x, y) for x, y, _ in lanes]).T
     sgn = [g for _, _, g in lanes]
@@ -260,12 +306,12 @@ def test_horner_rhs_within_rounding_bound(polys, lanes):
     u = sys.float_info.epsilon / 2
     for n, (field, (x, y, g)) in enumerate(zip(at, lanes)):
         alone = _Lanes([field], s[:, n:n + 1], [g], 1e-10, 1e-12).rhs(s[:, n:n + 1])
-        assert alone.tobytes() == batch[:, n:n + 1].tobytes()
-        for row, component in enumerate(("X", "Y")):
-            terms = [getattr(f, component).terms for f in fields]
+        assert alone.tobytes() == batch[:len(alone), n:n + 1].tobytes()
+        for row in range(len(batch)):
+            terms = [rows[id(f)][row].terms for f in fields]
             dx = max((i for t in terms for i, _ in t), default=0)
             dy = max((j for t in terms for _, j in t), default=0)
-            poly = getattr(field, component)
+            poly = rows[id(field)][row]
             steps = dx + dy + len(poly.terms) + 3
             scale = sum(abs(c) * abs(x) ** i * abs(y) ** j
                         for (i, j), c in poly.terms.items())
@@ -289,7 +335,8 @@ def _census_grid(k, lam, eps, b, window, visible=False):
 def _outcome(sample):
     if isinstance(sample, FilippovError):
         return type(sample).__name__
-    return (sample.x, sample.phi_plus, sample.phi_minus, sample.delta_value)
+    return (sample.x, sample.phi_plus, sample.phi_minus, sample.delta_value,
+            sample.derivative)
 
 
 _CENSUS = {"k2": (2, (-1.0, 1.0), 0.1, -1e-6),
@@ -341,7 +388,8 @@ def test_lanes_are_independent(cfg, case):
         alone = [_arc_outcome(flow.half_arcs([lane], cfg)[0]) for lane in lanes]
         # lanes that keep no path return the same crossings, bit for bit
         returns = flow.half_arcs(lanes, cfg, returns=True)
-        assert [_arc_outcome(r) for r in returns] == [
+        assert [_arc_outcome(r[0] if isinstance(r, tuple) else r)
+                for r in returns] == [
             a if isinstance(a, str) else a[0] for a in batch]
     elif case == "k3-all-windows":
         k, lam, eps, b = _CENSUS["k3"]
