@@ -34,15 +34,14 @@ from .unfold import (  # noqa: F401
     lemma1_check,
     local_V2_limit_check,
     verify_contact_ladder,
-    xi_values,
 )
-from .systems import cross_coupled_system, family_V2, monodromic_family  # noqa: F401
+from .systems import monodromic_family  # noqa: F401
 
 # Export name -> the submodule it is imported from on first access.
 _ON_DEMAND = {
     **dict.fromkeys(("LyapunovEstimate", "ReturnSample", "displacement",
                      "displacements", "estimate_lyapunov", "half_arcs",
-                     "half_return", "integrate_to_sigma"), "flow"),
+                     "integrate_to_sigma"), "flow"),
     **dict.fromkeys(("CensusReport", "LimitCycle", "PseudoHopfPrediction",
                      "amplitude_prediction", "cycle_census",
                      "cycle_producing_sign", "find_cycles_local",

@@ -160,7 +160,7 @@ def find_cycles_local(Z_b: PiecewiseField, window_center: float, radius: float,
     chord's left end from the root's sample, and checks sliding-segment
     enclosure.  Non-hyperbolic roots, failed root solves and windows where
     the displacement never leaves the noise floor ("center") are reported
-    through ``diagnostics``, not returned.
+    through ``diagnostics`` (brackets by offsets from the center), not returned.
     """
     return _search_windows([(Z_b, b, window_center, radius)], cfg,
                            [] if diagnostics is None else diagnostics)[0]
@@ -200,8 +200,9 @@ def _search_windows(specs, cfg, diagnostics) -> list:
         grid = window.grid
         for i, (v0, v1) in enumerate(zip(values, values[1:])):
             if (v0 is None) != (v1 is None):
-                plan.append(f"window {window.center:+.6g}: bracket ({grid[i]:.9g}, "
-                            f"{grid[i + 1]:.9g}) skipped next to a failed sample")
+                lo, hi = grid[i] - window.center, grid[i + 1] - window.center
+                plan.append(f"window {window.center:+.6g}: bracket u = ({lo:.6g}, "
+                            f"{hi:.6g}) skipped next to a failed sample")
             elif v0 is not None and v0 != 0.0 and (v0 < 0) != (v1 < 0):
                 plan.append(len(brackets))
                 brackets.append((w, grid[i], grid[i + 1]))
@@ -212,11 +213,11 @@ def _search_windows(specs, cfg, diagnostics) -> list:
         for item in plan:
             if isinstance(item, str):
                 diagnostics.append(item)
-            elif isinstance(roots[item], Exception):
-                _, lo, hi = brackets[item]
+            elif isinstance(error := roots[item], Exception):
+                lo, hi = (x - window.center for x in brackets[item][1:])
                 diagnostics.append(
-                    f"window {window.center:+.6g}: root solve in bracket ({lo:.9g}, "
-                    f"{hi:.9g}) failed: {type(roots[item]).__name__}: {roots[item]}")
+                    f"window {window.center:+.6g}: root solve in bracket u = "
+                    f"({lo:.6g}, {hi:.6g}) failed: {type(error).__name__}: {error}")
             else:
                 _add_cycle(window, roots[item], cycles, diagnostics)
     return found

@@ -73,11 +73,6 @@ class PiecewiseField(Record):
     upper: SmoothField
     lower: SmoothField
 
-    def side(self, name: str) -> SmoothField:
-        if name not in SIGMA:
-            raise InputError(f"unknown side {name!r}")
-        return getattr(self, name)
-
     def sides(self) -> list:
         """``(name, sigma, field)`` for the upper, then the lower side."""
         return [(name, sigma, getattr(self, name))

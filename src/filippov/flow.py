@@ -47,7 +47,7 @@ from .errors import (
     NotInWindow,
     StepFailure,
 )
-from .field import SIGMA, PiecewiseField, SmoothField
+from .field import PiecewiseField, SmoothField
 from .record import Record
 from .roots import brent
 from .scenario import IntegratorConfig  # noqa: F401  (re-exported)
@@ -427,9 +427,9 @@ def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
     backward otherwise, bounded by ``window`` (None for unbounded).  Per
     lane: ``(x_return, trajectory)`` as :func:`integrate_to_sigma` gives
     it, or with ``returns`` the return abscissa and the slope of the
-    half-return map there (see :func:`half_return`), or the
-    :class:`FilippovError` that ended the lane (a tangency start is an
-    :class:`InputError`)."""
+    half-return map there, which fixes the singularity (a tangency at
+    ``x = 0`` returns ``(0.0, nan)``), or the :class:`FilippovError` that
+    ended the lane (any other tangency start is an :class:`InputError`)."""
     out: list = [None] * len(lanes)
     moving, signs = [], []
     for n, (field, sigma, x, _) in enumerate(lanes):
@@ -451,17 +451,6 @@ def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
             arc = arc[0], (y0 / y1 * arc[1] if y1 else math.inf)
         out[n] = arc
     return out
-
-
-def half_return(Z: PiecewiseField, side: str, x: float,
-                cfg: IntegratorConfig) -> float:
-    """Other endpoint of the one-sided orbit arc through ``(x, 0)``.
-
-    By continuity the map fixes the singularity itself, so ``x = 0`` with a
-    vanishing vertical component returns 0; elsewhere see :func:`half_arcs`.
-    """
-    return _one(half_arcs([(Z.side(side), SIGMA[side], x, None)], cfg,
-                          returns=True)[0])[0]
 
 
 def displacements(Z, xs, cfg: IntegratorConfig, base_x=0.0,

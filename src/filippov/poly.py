@@ -89,16 +89,6 @@ class Poly2:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree -1."""
-        if not self.terms:
-            return -1
-        return max(i + j for i, j in self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def max_abs_coeff(self) -> float:
         if not self.terms:
             return 0.0
@@ -116,24 +106,15 @@ class Poly2:
 
     # -- calculus ---------------------------------------------------------
 
-    def partial(self, var: str, n: int = 1) -> "Poly2":
-        """n-th partial derivative with respect to ``var`` in ``{"x", "y"}``."""
+    def partial(self, var: str) -> "Poly2":
+        """Partial derivative with respect to ``var`` in ``{"x", "y"}``."""
         if var not in ("x", "y"):
             raise InputError(f"unknown variable {var!r}")
-        if n < 0:
-            raise InputError("derivative order must be nonnegative")
-        if n == 0:
-            return self
         out = {}
         for (i, j), c in self.terms.items():
             e = i if var == "x" else j
-            if e < n:
-                continue
-            fac = 1
-            for m in range(n):
-                fac *= e - m
-            key = (i - n, j) if var == "x" else (i, j - n)
-            out[key] = c * fac
+            if e:
+                out[(i - 1, j) if var == "x" else (i, j - 1)] = c * e
         return Poly2(out)
 
     def shift_x(self, h) -> "Poly2":
@@ -246,16 +227,6 @@ class Poly1:
 
     def derivative(self) -> "Poly1":
         return Poly1([m * c for m, c in enumerate(self.coeffs)][1:])
-
-    def antiderivative(self) -> "Poly1":
-        """Antiderivative with zero constant term."""
-        out = [0]
-        for m, c in enumerate(self.coeffs):
-            if isinstance(c, (Fraction, int)):
-                out.append(Fraction(c, m + 1))
-            else:
-                out.append(c / (m + 1))
-        return Poly1(out)
 
     def times_x_power(self, n: int) -> "Poly1":
         if n == 0:

@@ -1,6 +1,6 @@
-"""Canonical polynomial field families with closed-form local data.
+"""The canonical polynomial field family, with closed-form local data.
 
-These families back most tests and example scenarios because every quantity
+The bench and most tests build their fields from it because every quantity
 of interest has a hand-computable value.
 """
 
@@ -34,27 +34,3 @@ def monodromic_family(k: int, c, exact: bool = False) -> PiecewiseField:
         Y=Poly2({(2 * k - 1, 0): -one}),
     )
     return PiecewiseField(upper=upper, lower=lower)
-
-
-def cross_coupled_system(exact: bool = False) -> PiecewiseField:
-    """Two-fold pair whose upper field couples to y: ``(1, -x + y)`` over
-    ``(-1, -x)``.
-
-    Exercises the ``g00`` extraction path: ``g00_plus = 1``, ``f0± = 0``,
-    ``a± = -1`` and ``V2 = 2/3``.
-    """
-    one = Fraction(1) if exact else 1.0
-    upper = SmoothField(
-        X=Poly2.constant(one),
-        Y=Poly2({(1, 0): -one, (0, 1): one}),
-    )
-    lower = SmoothField(
-        X=Poly2.constant(-one),
-        Y=Poly2({(1, 0): -one}),
-    )
-    return PiecewiseField(upper=upper, lower=lower)
-
-
-def family_V2(k: int, c) -> float:
-    """Closed-form second displacement coefficient of ``monodromic_family``."""
-    return 2.0 * float(c) / (2 * k + 1)

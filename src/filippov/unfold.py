@@ -278,17 +278,6 @@ def _xi_parts(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
         for sigma, a, q, x in quotients)
 
 
-def xi_values(Z: PiecewiseField, data: MonodromyData, lam, epsilon):
-    """Interpolation values at the nodes ``epsilon * a_i`` for both sides.
-
-    Requires equal tangency orders on the two sides.  The values are
-    evaluated through exact polynomial division, never by forming the raw
-    quotient near the singularity.
-    """
-    return tuple([s * (t1 + t2) for s, t1, t2 in side]
-                 for side in _xi_parts(Z, data, lam, epsilon))
-
-
 def _coefficients_and_bounds(Z: PiecewiseField, data: MonodromyData, lam,
                              eps: float):
     """Per side: the coefficients ``c_1 .. c_n`` of the perturbation,

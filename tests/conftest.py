@@ -1,4 +1,4 @@
-"""Shared fixtures and independent oracles.
+"""Shared fixtures, test-only fields and independent oracles.
 
 The level-set oracle computes half-return values without any time
 integration: for a field with constant horizontal component and a vertical
@@ -8,12 +8,15 @@ other side of the tangency.  Root-finding on G is the only numerics
 involved, keeping the oracle independent of the Runge-Kutta path it checks.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from filippov import IntegratorConfig
-from filippov.field import SmoothField
+from filippov.field import PiecewiseField, SmoothField
+from filippov.poly import Poly1, Poly2
 
 
 @pytest.fixture(scope="session")
@@ -21,11 +24,41 @@ def cfg():
     return IntegratorConfig()
 
 
+def cross_coupled_system(exact: bool = False) -> PiecewiseField:
+    """Two-fold pair whose upper field couples to y: ``(1, -x + y)`` over
+    ``(-1, -x)``.
+
+    Exercises the ``g00`` extraction path: ``g00_plus = 1``, ``f0± = 0``,
+    ``a± = -1`` and ``V2 = 2/3``.
+    """
+    one = Fraction(1) if exact else 1.0
+    upper = SmoothField(
+        X=Poly2.constant(one),
+        Y=Poly2({(1, 0): -one, (0, 1): one}),
+    )
+    lower = SmoothField(
+        X=Poly2.constant(-one),
+        Y=Poly2({(1, 0): -one}),
+    )
+    return PiecewiseField(upper=upper, lower=lower)
+
+
+def antiderivative(p: Poly1) -> Poly1:
+    """Antiderivative with zero constant term."""
+    out = [0]
+    for m, c in enumerate(p.coeffs):
+        if isinstance(c, (Fraction, int)):
+            out.append(Fraction(c, m + 1))
+        else:
+            out.append(c / (m + 1))
+    return Poly1(out)
+
+
 def level_set_return(field: SmoothField, x0: float, lo: float, hi: float) -> float:
     """Half-return oracle; the root is searched inside (lo, hi)."""
     if not field.X.restrict_sigma().derivative().is_zero():
         raise ValueError("oracle requires a constant horizontal component")
-    G = field.Y.restrict_sigma().antiderivative()
+    G = antiderivative(field.Y.restrict_sigma())
     target = G(x0)
 
     def g(x):

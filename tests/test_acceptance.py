@@ -20,8 +20,7 @@ from filippov import (
     cycle_producing_sign,
     displacement,
     estimate_lyapunov,
-    family_V2,
-    half_return,
+    half_arcs,
     lemma1_check,
     local_V2_limit_check,
     monodromic_family,
@@ -70,7 +69,7 @@ def test_criterion_1_closed_form_V2(tmp_path):
             code, rep = run(path, "classify")
             assert code == 0
             got = rep["payload"]["V2"]
-            worst = max(worst, abs(got - family_V2(k, c)))
+            worst = max(worst, abs(got - 2.0 * c / (2 * k + 1)))
     elapsed = time.time() - t0
     report("C1 closed-form V2", worst < 1e-10 and elapsed < 1.0,
            f"max dev {worst:.2e}, {elapsed:.2f}s")
@@ -83,7 +82,7 @@ def test_criterion_2_displacement_consistency():
     for k in (1, 2):
         Z = monodromic_family(k, 1.0)
         ratio = displacement(Z, 0.02, CFG).delta_value / 0.02**2
-        devs.append(abs(ratio / family_V2(k, 1.0) - 1.0))
+        devs.append(abs(ratio / (2.0 / (2 * k + 1)) - 1.0))
     elapsed = time.time() - t0
     report("C2 displacement consistency",
            max(devs) < 0.02 and elapsed < 10.0,
@@ -242,14 +241,16 @@ def test_criterion_9_structural_properties(tmp_path):
     ok = True
     details = []
 
+    def half_returns(field, sigma, xs):
+        return [phi for phi, _ in half_arcs(
+            [(field, sigma, float(x), None) for x in xs], CFG, returns=True)]
+
     worst_inv = 0.0
+    xs = np.linspace(0.03, 0.3, 10)
     for k in (1, 2):
-        Z = monodromic_family(k, 1.0)
-        for side in ("upper", "lower"):
-            for x in np.linspace(0.03, 0.3, 10):
-                xr = half_return(Z, side, float(x), CFG)
-                worst_inv = max(worst_inv,
-                                abs(half_return(Z, side, xr, CFG) - x))
+        for _, sigma, field in monodromic_family(k, 1.0).sides():
+            back = half_returns(field, sigma, half_returns(field, sigma, xs))
+            worst_inv = max(worst_inv, float(np.max(np.abs(back - xs))))
     ok = ok and worst_inv < 1e-7
     details.append(f"involution {worst_inv:.1e}")
 

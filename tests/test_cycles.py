@@ -1,10 +1,12 @@
 """Cycle layer: the splitting dichotomy, amplitude laws, and the census."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from conftest import cross_coupled_system
 from filippov import (
     PseudoHopfPrediction,
     UnfoldingParams,
@@ -435,8 +437,26 @@ def test_failed_root_solve_is_one_diagnostic(cfg, monkeypatch):
     assert not rep.passed
     failed = [d for d in rep.diagnostics if "root solve in bracket" in d]
     assert len(failed) == 1
-    assert failed[0].startswith("window -0.1: root solve in bracket (-0.")
+    assert failed[0].startswith("window -0.1: root solve in bracket u = (0.")
     assert failed[0].endswith(") failed: StepFailure: injected")
+
+
+def test_bracket_diagnostics_tell_their_ends_apart(cfg):
+    # at k = 6 window +0.135 loses its outer sample and one 7.5e-13 from
+    # its fold; the three brackets beside them are skipped, and each
+    # diagnostic names its ends by their offsets from the window center
+    k = 6
+    Z = monodromic_family(k, 1.0)
+    data = classify_mts(Z)
+    good = cycle_producing_sign(data.delta, data.V2, "minus")
+    params = UnfoldingParams(k=k, lam=(-1.0, *map(float, range(1, 10))),
+                             epsilon=0.015, b=good * 1e-13,
+                             shift_convention="minus")
+    skipped = [re.search(r"bracket (?:u = )?\((.+), (.+)\) skipped", d)
+               for d in cycle_census(Z, params, cfg).diagnostics]
+    ends = [(float(m[1]), float(m[2])) for m in skipped if m]
+    assert len(ends) == 3
+    assert all(lo < hi for lo, hi in ends)
 
 
 # Lane rounds per operation: one grid batch and at most two root batches
@@ -571,7 +591,6 @@ def test_dichotomy_for_reversed_orientation(cfg):
 def test_scan_on_y_coupled_field(cfg):
     # the upper component depends on y, so the arcs are not polynomial in
     # time and the integrator earns its keep
-    from filippov import cross_coupled_system
     table = pseudo_hopf_scan(cross_coupled_system(), [-1e-4, 1e-4],
                              "minus", cfg)
     counts = {r.b: r.n_cycles for r in table.rows}
@@ -631,3 +650,21 @@ def test_degenerate_order_amplitude_exponent(cfg):
         amps.append(cycles[0].amplitude)
     slope = np.polyfit(np.log(bs), np.log(amps), 1)[0]
     assert slope == pytest.approx(0.25, abs=0.03)
+
+
+def test_scan_fits_the_coefficient_when_V2_vanishes(cfg):
+    # V2 = 0 exactly, so the scan predicts amplitudes from the fitted
+    # quartic coefficient (closed form 2cd/3 = 2/3; the fit reads about
+    # 0.62, so it is not gated tightly)
+    Z = crafted_quartic(1.0)
+    assert classify_mts(Z).V2 == 0.0
+    table = pseudo_hopf_scan(Z, [-1e-6, -1e-5, -1e-4, 1e-4], "minus", cfg,
+                             window_radius=0.3)
+    assert table.ell == 2
+    assert table.V2ell == pytest.approx(2 / 3, rel=0.15)
+    rows = {r.b: r for r in table.rows}
+    assert rows[1e-4].n_cycles == 0
+    for b in (-1e-6, -1e-5, -1e-4):
+        assert (rows[b].n_cycles, rows[b].stability) == (1, "unstable")
+        assert rows[b].amplitude == pytest.approx(rows[b].predicted_amplitude,
+                                                  rel=0.03)

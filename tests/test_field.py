@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cross_coupled_system
 from filippov import (
     classify_mts,
     contact_info,
     local_V2,
     monodromic_family,
-    cross_coupled_system,
-    family_V2,
     sigma_regions,
 )
 from filippov.errors import (
@@ -151,8 +150,11 @@ def test_classify_family_base_case():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("c", [-1.0, 0.5, 1.0])
 def test_classify_family_V2(k, c):
-    d = classify_mts(monodromic_family(k, c))
-    assert d.V2 == pytest.approx(family_V2(k, c), abs=1e-12)
+    # V2 = 2c / (2k + 1), exactly in rational arithmetic
+    exact = classify_mts(monodromic_family(k, c, exact=True)).V2
+    assert exact == 2 * Fraction(c) / (2 * k + 1)
+    assert classify_mts(monodromic_family(k, c)).V2 == pytest.approx(
+        float(exact), abs=1e-12)
 
 
 def test_classify_cross_coupled():

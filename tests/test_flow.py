@@ -9,21 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import level_set_return
+from conftest import cross_coupled_system, level_set_return
 from filippov import (
     UnfoldingParams,
     apply_shift,
     displacement,
     displacements,
     estimate_lyapunov,
-    half_return,
     integrate_to_sigma,
     monodromic_family,
-    cross_coupled_system,
 )
 from filippov import flow
 from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
-from filippov.field import SmoothField
+from filippov.field import SIGMA, SmoothField
 from filippov.flow import _interpolate, _interpolate1, _Lanes
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
@@ -87,11 +85,18 @@ def test_window_escape(cfg):
 
 # -- half-return maps -------------------------------------------------------------
 
+def half_returns(Z, side, xs, cfg):
+    """The half-return map of ``Z``'s ``side`` at each of ``xs``, one batch."""
+    lanes = [(getattr(Z, side), SIGMA[side], float(x), None) for x in xs]
+    return [flow._one(arc)[0] for arc in flow.half_arcs(lanes, cfg, returns=True)]
+
+
 def test_half_return_symmetric_center(cfg):
     Z = monodromic_family(1, 0.0)
-    for x in (0.05, 0.1, 0.2):
-        assert half_return(Z, "upper", x, cfg) == pytest.approx(-x, abs=1e-9)
-        assert half_return(Z, "lower", x, cfg) == pytest.approx(-x, abs=1e-9)
+    xs = [0.05, 0.1, 0.2]
+    for side in SIGMA:
+        assert half_returns(Z, side, xs, cfg) == pytest.approx(
+            [-x for x in xs], abs=1e-9)
 
 
 # the last two start just beside the fold at x = 0, where the return is
@@ -106,7 +111,7 @@ def test_half_return_vs_level_set_oracle(cfg, k, x):
     Z = monodromic_family(k, 1.0)
     batched = displacements(Z, ORACLE_XS, cfg)[ORACLE_XS.index(x)].phi_plus
     oracle = level_set_return(Z.upper, x, -2.0 * x, -1e-4 * x)
-    for got in (half_return(Z, "upper", x, cfg), batched):
+    for got in (half_returns(Z, "upper", [x], cfg)[0], batched):
         assert got == pytest.approx(oracle, abs=1e-12)
     if (k, x) == (1, 0.1):
         assert batched == pytest.approx(-0.0937, abs=1e-3)
@@ -114,35 +119,40 @@ def test_half_return_vs_level_set_oracle(cfg, k, x):
 
 def test_half_return_lower_is_exact_reflection(cfg):
     Z = monodromic_family(2, 1.0)
-    for x in (0.05, 0.15, 0.25):
-        assert half_return(Z, "lower", x, cfg) == pytest.approx(-x, abs=1e-9)
+    xs = [0.05, 0.15, 0.25]
+    assert half_returns(Z, "lower", xs, cfg) == pytest.approx(
+        [-x for x in xs], abs=1e-9)
 
 
 def test_half_return_fixes_the_singularity(cfg):
-    assert half_return(monodromic_family(1, 1.0), "upper", 0.0, cfg) == 0.0
+    (phi, slope), = flow.half_arcs([(monodromic_family(1, 1.0).upper, 1, 0.0, None)],
+                                   cfg, returns=True)
+    assert phi == 0.0 and math.isnan(slope)
 
 
 def test_half_return_rejects_tangency_start(cfg):
-    Zu = monodromic_family(1, 1.0)
-    with pytest.raises(InputError):
-        half_return(Zu, "upper", 1.0, cfg)  # Y(1, 0) = -1 + 1 = 0
+    # Y(1, 0) = -1 + 1 = 0: a lane that starts on a tangency ends in a
+    # returned InputError, and so does x = 0 unless returns are asked for
+    upper = monodromic_family(1, 1.0).upper
+    for x, returns in ((1.0, True), (1.0, False), (0.0, False)):
+        arc, = flow.half_arcs([(upper, 1, x, None)], cfg, returns=returns)
+        assert isinstance(arc, InputError)
+        assert str(arc).startswith(f"({x}, 0) is a tangency point")
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_involution(cfg, k):
     Z = monodromic_family(k, 1.0)
-    for side in ("upper", "lower"):
-        for x in np.linspace(0.03, 0.3, 10):
-            xr = half_return(Z, side, float(x), cfg)
-            back = half_return(Z, side, xr, cfg)
-            assert abs(back - x) < 1e-7
+    xs = np.linspace(0.03, 0.3, 10)
+    for side in SIGMA:
+        back = half_returns(Z, side, half_returns(Z, side, xs, cfg), cfg)
+        assert np.max(np.abs(np.array(back) - xs)) < 1e-7
 
 
 def test_tolerance_scaling(cfg):
     Z = monodromic_family(1, 1.0)
     tight = dataclasses.replace(cfg, rel_tol=cfg.rel_tol / 2)
-    a = half_return(Z, "upper", 0.1, cfg)
-    b = half_return(Z, "upper", 0.1, tight)
+    (a,), (b,) = (half_returns(Z, "upper", [0.1], c) for c in (cfg, tight))
     assert abs(a - b) < 5e-9
 
 

@@ -18,15 +18,15 @@ EXPORTS = {
               "sigma_regions"),
     "flow": ("IntegratorConfig", "LyapunovEstimate", "ReturnSample",
              "displacement", "displacements", "estimate_lyapunov",
-             "half_arcs", "half_return", "integrate_to_sigma"),
+             "half_arcs", "integrate_to_sigma"),
     "poly": ("Poly1", "Poly2"),
     "unfold": ("PerturbationPolys", "UnfoldingParams", "apply_shift",
                "build_perturbation", "build_unfolded", "lemma1_check",
-               "local_V2_limit_check", "verify_contact_ladder", "xi_values"),
+               "local_V2_limit_check", "verify_contact_ladder"),
     "cycles": ("CensusReport", "LimitCycle", "PseudoHopfPrediction",
                "amplitude_prediction", "cycle_census", "cycle_producing_sign",
                "find_cycles_local", "pseudo_hopf_scan"),
-    "systems": ("cross_coupled_system", "family_V2", "monodromic_family"),
+    "systems": ("monodromic_family",),
 }
 
 

@@ -6,12 +6,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import antiderivative
 from filippov.errors import DegreeCapExceeded, DuplicateTerm, InputError
 from filippov.poly import Poly1, Poly2
 
 
 def P(terms):
     return Poly2(terms)
+
+
+def derivative(p, i, j=0):
+    """``d^(i+j) p / dx^i dy^j`` as composed first-order partials."""
+    for var in "x" * i + "y" * j:
+        p = p.partial(var)
+    return p
 
 
 # -- eval ---------------------------------------------------------------------
@@ -34,23 +42,18 @@ def test_eval_on_sigma():
 
 def test_partial_third_derivative():
     p = P({(3, 0): -1.0})
-    assert p.partial("x", 3) == P({(0, 0): -6.0})
+    assert derivative(p, 3) == P({(0, 0): -6.0})
 
 
 def test_partial_y():
     p = P({(2, 1): 1.0})
-    assert p.partial("y", 1) == P({(2, 0): 1.0})
+    assert p.partial("y") == P({(2, 0): 1.0})
 
 
 def test_partial_fourth_at_origin():
     c = 0.7
     p = P({(3, 0): -1.0, (4, 0): c})
-    assert p.partial("x", 4).eval(0.0, 0.0) == pytest.approx(24 * c, rel=1e-15)
-
-
-def test_partial_order_zero_is_identity():
-    p = P({(2, 1): 1.5, (0, 3): -2.0})
-    assert p.partial("x", 0) is p
+    assert derivative(p, 4).eval(0.0, 0.0) == pytest.approx(24 * c, rel=1e-15)
 
 
 # -- shift_x ------------------------------------------------------------------
@@ -122,11 +125,10 @@ def test_negative_exponent_rejected():
 
 def test_canonical_drops_rounding_debris():
     p = P({(1, 0): 1.0}) - P({(1, 0): 1.0 - 1e-16})
-    assert p.is_zero()
+    assert p == Poly2()
 
 
 def test_degree_of_zero_is_minus_one():
-    assert Poly2().degree == -1
     assert Poly1().degree == -1
 
 
@@ -134,9 +136,9 @@ def test_exact_fraction_mode_is_exact():
     third = Fraction(1, 3)
     p = P({(1, 0): third})
     q = p * P({(1, 0): third}) - P({(2, 0): Fraction(1, 9)})
-    assert q.is_zero()
+    assert q == Poly2()
     tiny = P({(0, 0): Fraction(1, 10**30)})
-    assert not tiny.is_zero()  # exact coefficients never count as debris
+    assert tiny.terms  # exact coefficients never count as debris
 
 
 # -- randomized properties ----------------------------------------------------
@@ -146,16 +148,6 @@ coeffs = st.floats(min_value=-3, max_value=3, allow_nan=False,
 poly2s = st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs,
     min_size=1, max_size=6).map(Poly2)
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(poly2s, st.integers(0, 4), st.integers(0, 4))
-def test_partial_composes(p, m, n):
-    lhs = p.partial("x", m).partial("x", n)
-    rhs = p.partial("x", m + n)
-    assert set(lhs.terms) == set(rhs.terms)
-    for key, c in lhs.terms.items():
-        assert c == pytest.approx(rhs.terms[key], rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -181,7 +173,7 @@ def test_shift_matches_eval(p, h):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(poly2s, st.integers(0, 4), st.integers(0, 4))
 def test_taylor_coeff_matches_derivatives(p, i, j):
-    d = p.partial("x", i).partial("y", j).eval(0.0, 0.0)
+    d = derivative(p, i, j).eval(0.0, 0.0)
     expected = d / (math.factorial(i) * math.factorial(j))
     assert p.taylor_coeff(i, j) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
@@ -226,4 +218,4 @@ def test_divide_x_power():
 
 def test_antiderivative_then_derivative():
     p = Poly1([2.0, -3.0, 0.5])
-    assert p.antiderivative().derivative() == p
+    assert antiderivative(p).derivative() == p

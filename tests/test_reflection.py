@@ -14,17 +14,17 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import cross_coupled_system
 from filippov import (
     IntegratorConfig,
     classify_mts,
-    cross_coupled_system,
     displacement,
     lemma1_check,
     monodromic_family,
-    xi_values,
 )
 from filippov.field import PiecewiseField, SmoothField
 from filippov.poly import Poly2
+from filippov.unfold import _xi_parts
 
 
 def _mirror(p: Poly2, sign: int) -> Poly2:
@@ -63,14 +63,16 @@ def test_reflection_swaps_the_sides_of_the_classification(name):
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_reflection_swaps_and_negates_the_interpolation_values(name):
+    # each node's value is s * (t1 + t2): the factor s trades sides
+    # unchanged and both terms change sign
     Z = FIELDS[name](True)
     Zr = reflect(Z)
     lam = [Fraction(a) for a in (-1, Fraction(1, 2), 2)]
     eps = Fraction(1, 10)
-    xi_p, xi_m = xi_values(Z, classify_mts(Z), lam, eps)
-    rp, rm = xi_values(Zr, classify_mts(Zr), lam, eps)
-    assert rp == [-v for v in xi_m]
-    assert rm == [-v for v in xi_p]
+    xi_p, xi_m = _xi_parts(Z, classify_mts(Z), lam, eps)
+    rp, rm = _xi_parts(Zr, classify_mts(Zr), lam, eps)
+    assert rp == [(s, -t1, -t2) for s, t1, t2 in xi_m]
+    assert rm == [(s, -t1, -t2) for s, t1, t2 in xi_p]
 
 
 @pytest.mark.parametrize("name", ["four-fold", "six-fold"])

@@ -18,7 +18,6 @@ from filippov import (
     local_V2_limit_check,
     monodromic_family,
     verify_contact_ladder,
-    xi_values,
 )
 from filippov.errors import (
     InputError,
@@ -30,6 +29,7 @@ from filippov.poly import Poly1
 from filippov.unfold import (
     _coefficients_and_bounds,
     _exactify_field,
+    _xi_parts,
     newton_through_origin,
 )
 
@@ -43,14 +43,25 @@ def perturbation(k, c, lam, eps):
     return Z, build_perturbation(Z, params_for(k, lam, eps))
 
 
+def quotients(Z, lam, eps):
+    """``-Y(eps * a_i, 0) / X(eps * a_i, 0)`` per side: the interpolation
+    values, formed directly from the field."""
+    return tuple([-f.Y.eval(eps * a, 0) / f.X.eval(eps * a, 0) for a in lam]
+                 for _, _, f in Z.sides())
+
+
+def node_values(polys, lam, eps):
+    """The perturbation polynomials' values at the nodes, per side."""
+    return tuple([p(eps * a) for a in lam] for p in (polys.p_plus, polys.p_minus))
+
+
 # -- interpolation values -----------------------------------------------------
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
 @pytest.mark.parametrize("c", [1.0, 0.5, -1.0])
 def test_xi_closed_form(c, eps):
-    Z = monodromic_family(2, c)
-    data = classify_mts(Z)
-    xi_p, xi_m = xi_values(Z, data, [-1.0, 1.0], eps)
+    _, polys = perturbation(2, c, (-1.0, 1.0), eps)
+    xi_p, xi_m = node_values(polys, (-1.0, 1.0), eps)
     assert xi_p[0] == pytest.approx(-eps**3 - c * eps**4, rel=1e-13)
     assert xi_p[1] == pytest.approx(eps**3 - c * eps**4, rel=1e-13)
     assert xi_m[0] == pytest.approx(eps**3, rel=1e-13)
@@ -58,24 +69,24 @@ def test_xi_closed_form(c, eps):
 
 
 def test_xi_equals_quotient_at_nodes():
-    # xi_i must equal -Y(eps a_i, 0) / X(eps a_i, 0) on both sides
-    Z = monodromic_family(3, 0.75)
-    data = classify_mts(Z)
+    # the values s * (t1 + t2) the perturbation interpolates equal
+    # -Y(eps a_i, 0) / X(eps a_i, 0) on both sides: exactly in rational
+    # arithmetic, and to rounding at the float perturbation's nodes
     lam = [-1.3, 0.8, 1.7, 2.9]
     eps = 0.04
-    xi_p, xi_m = xi_values(Z, data, lam, eps)
-    for a_i, xp, xm in zip(lam, xi_p, xi_m):
-        x = eps * a_i
-        assert xp == pytest.approx(
-            -Z.upper.Y.eval(x, 0.0) / Z.upper.X.eval(x, 0.0), rel=1e-12)
-        assert xm == pytest.approx(
-            -Z.lower.Y.eval(x, 0.0) / Z.lower.X.eval(x, 0.0), rel=1e-12)
+    Zx = monodromic_family(3, Fraction(3, 4), exact=True)
+    lam_x, eps_x = [Fraction(a) for a in lam], Fraction(eps)
+    parts = _xi_parts(Zx, classify_mts(Zx), lam_x, eps_x)
+    assert tuple([s * (t1 + t2) for s, t1, t2 in side] for side in parts) \
+        == quotients(Zx, lam_x, eps_x)
+    Z, polys = perturbation(3, 0.75, lam, eps)
+    for got, want in zip(node_values(polys, lam, eps), quotients(Z, lam, eps)):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_xi_vanishes_with_eps():
-    Z = monodromic_family(2, 1.0)
-    data = classify_mts(Z)
-    xi_p, xi_m = xi_values(Z, data, [-1.0, 1.0], 1e-5)
+    _, polys = perturbation(2, 1.0, (-1.0, 1.0), 1e-5)
+    xi_p, xi_m = node_values(polys, (-1.0, 1.0), 1e-5)
     assert max(map(abs, xi_p + xi_m)) < 1e-14
 
 
@@ -123,9 +134,8 @@ def test_interpolation_exactness_property():
         eps = float(rng.uniform(0.02, 0.2))
         c = float(rng.uniform(-1.5, 1.5))
         Z = monodromic_family(k, c)
-        data = classify_mts(Z)
-        polys = build_perturbation(Z, params_for(k, lam, eps), data)
-        xi_p, xi_m = xi_values(Z, data, lam, eps)
+        polys = build_perturbation(Z, params_for(k, lam, eps), classify_mts(Z))
+        xi_p, xi_m = quotients(Z, lam, eps)
         for a_i, xp, xm in zip(lam, xi_p, xi_m):
             x = eps * a_i
             assert abs(polys.p_plus(x) - xp) < 1e-11 * max(1.0, abs(xp))
@@ -149,9 +159,8 @@ def test_methods_agree_across_scales():
         for eps in (1e-3, 1e-2, 0.1):
             lam = sorted(_draw_lambda(rng, k, span=4.0))
             Z = monodromic_family(k, 1.0)
-            data = classify_mts(Z)
-            polys = build_perturbation(Z, params_for(k, lam, eps), data)
-            xi_p, _ = xi_values(Z, data, lam, eps)
+            polys = build_perturbation(Z, params_for(k, lam, eps), classify_mts(Z))
+            xi_p, _ = quotients(Z, lam, eps)
             n = 2 * k - 2
             H = (eps * np.array(lam))[:, None] ** np.arange(1, n + 1)[None, :]
             direct = np.linalg.solve(H, np.array(xi_p))
@@ -182,7 +191,7 @@ def test_error_bound_covers_the_exact_solve(k_lam, c, log_eps):
     sides = _coefficients_and_bounds(Z, classify_mts(Z), lam, eps)
     Zx = _exactify_field(Z)
     lam_x, eps_x = [Fraction(a) for a in lam], Fraction(eps)
-    exact = xi_values(Zx, classify_mts(Zx), lam_x, eps_x)
+    exact = quotients(Zx, lam_x, eps_x)
     for (coeffs, bounds, _), xi in zip(sides, exact):
         full = newton_through_origin(lam_x, xi)
         for j, (got, bound) in enumerate(zip(coeffs, bounds), start=1):
@@ -196,8 +205,7 @@ def test_vandermonde_inverse_cross_check():
     lam = [Fraction(-3, 2), Fraction(1, 2), Fraction(5, 4), Fraction(9, 4)]
     eps = Fraction(1, 20)
     Z = monodromic_family(k, Fraction(1, 2), exact=True)
-    data = classify_mts(Z)
-    xi_p, xi_m = xi_values(Z, data, lam, eps)
+    xi_p, xi_m = quotients(Z, lam, eps)
     n = 2 * k - 2
     for xi, side in ((xi_p, "plus"), (xi_m, "minus")):
         exact = [Fraction(0)] * (n + 1)
