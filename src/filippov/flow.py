@@ -379,19 +379,35 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
     Starts close to a tangency produce arcs far shorter than the default
     step; without a commensurate step cap the dip back through y = 0 can
     fall inside a single step and stay invisible to the mesh scan.  The
-    vertical time scale |dy/dt| / |d2y/dt2| at the start sets the cap
-    (direction-independent, sgn^2 = 1).
+    cap is half the time tau until g = dy/dt reaches its zero, estimated
+    from g and its time derivatives at the start (direction-independent,
+    sgn^2 = 1).  Where g ~ a * tau^m, |g| / |g'| = tau / m and
+    r = g g'' / g'^2 = (m - 1) / m, so m = 1 / (1 - r), the multiplicity
+    estimate behind Schroeder's modified Newton step (Traub, *Iterative
+    Methods for the Solution of Equations*, 1964), rounded and clipped to
+    [1, degree of Y], and 1 where r >= 1 or is not finite.  Then
+    tau = m |g| / |g'|: at a quadratic fold, m = 1, the cap is
+    |g| / |g'| / 2 bit for bit, and at a (2k, 2k) contact, m = 2k - 1, the
+    arc still takes about four capped steps, not 4(2k - 1).
     """
     t_scale = np.empty(lanes.y.shape[1])
     for n, field in enumerate(lanes.fields):
         at = lanes.col == n
         x, y = lanes.y[:2, at]
-        vy0 = np.zeros(len(x)) + field.Y.eval(x, y)
-        acc = (np.zeros(len(x))
-               + field.Y.partial("x").eval(x, y) * field.X.eval(x, y)
-               + field.Y.partial("y").eval(x, y) * vy0)
-        t_scale[at] = np.where((vy0 != 0) & (acc != 0),
-                               np.abs(vy0) / np.abs(acc), math.inf)
+        Yx, Yy = field.Y.partial("x"), field.Y.partial("y")
+        vx, vy0, yx, yy = (np.zeros(len(x)) + p.eval(x, y)
+                           for p in (field.X, field.Y, Yx, Yy))
+
+        def rate(p):  # dp/dt along the field at the starts
+            return p.partial("x").eval(x, y) * vx + p.partial("y").eval(x, y) * vy0
+
+        acc = yx * vx + yy * vy0
+        r = vy0 * (rate(Yx) * vx + rate(Yy) * vy0 + yx * rate(field.X)
+                   + yy * acc) / acc ** 2
+        degree = max([1] + [i + j for i, j in field.Y.terms])
+        m = np.where(r < 1, np.clip(np.rint(1 / (1 - r)), 1, degree), 1.0)
+        t_scale[at] = m * np.where((vy0 != 0) & (acc != 0),
+                                   np.abs(vy0) / np.abs(acc), math.inf)
     cap = np.minimum(cfg.max_step, t_scale / 2.0)
     span = np.minimum(_CAPPED_SPAN, 8.0 * t_scale)
     return cap, np.minimum(span, cfg.max_time)

@@ -157,6 +157,14 @@ def test_numerical_failure_exits_two(tmp_path):
     assert report["status"] == "error"
 
 
+def test_lyapunov_at_eight_fold_contacts(scenario_path):
+    # Y = -x^7 (+ x^8 above): every arc starts beside a zero of dy/dt of
+    # multiplicity 7, and the fit still reads order 2 with V2 = 2/9
+    code, report = run(scenario_path(family_doc("eight-fold-c1", 4, 1.0)), "lyapunov")
+    assert code == 0 and report["payload"]["order"] == 2
+    assert report["payload"]["coefficient"] == pytest.approx(2.0 / 9.0, rel=0.02)
+
+
 def test_determinism_byte_identical_modulo_timestamp(scenario_path, tmp_path):
     path = scenario_path(family_doc("quad", 2, 1.0))
     run(path, "classify")

@@ -461,13 +461,16 @@ def test_bracket_diagnostics_tell_their_ends_apart(cfg):
 
 # Lane rounds per operation: one grid batch and at most two root batches
 # (the lockstep Brent solve with slope probes took 23, 26, 22 and 25).
-ROUND_CAPS = {"census_k2": 13, "census_k3": 16, "census_k4": 17, "scan_k1": 15}
-# Exactly, at seed 0: the producing censuses, the k = 1 scan and the null
-# censuses.  A census integrates only its invisible windows; its roots take
-# one batch at their Hermite estimates, and the scan's b = -1e-3 and -1e-4
-# roots one more at their Newton steps.
-EXACT_ROUNDS = {"census_k2": 13, "census_k3": 16, "census_k4": 17,
-                "scan_k1": 15, "null_k2": 8, "null_k3": 11, "null_k4": 12}
+ROUND_CAPS = {"census_k2": 11, "census_k3": 11, "census_k4": 11, "scan_k1": 15}
+# Exactly, at seed 0: the producing censuses, the k = 1 scan, the null
+# censuses and the sweep's five Lyapunov fits (family k at c = 1 or 0).  A
+# census integrates only its invisible windows; its roots take one batch at
+# their Hermite estimates, and the scan's b = -1e-3 and -1e-4 roots one more
+# at their Newton steps.  A fit is one batch.
+EXACT_ROUNDS = {"census_k2": 11, "census_k3": 11, "census_k4": 11,
+                "scan_k1": 15, "null_k2": 6, "null_k3": 6, "null_k4": 6,
+                "fit_k1_c1": 5, "fit_k2_c1": 5, "fit_k3_c1": 5,
+                "fit_k1_c0": 5, "fit_k2_c0": 5}
 
 
 def _rounds(cfg, monkeypatch, op) -> int:
@@ -483,6 +486,10 @@ def _rounds(cfg, monkeypatch, op) -> int:
     if op == "scan_k1":
         table = pseudo_hopf_scan(monodromic_family(1, 1.0), SCAN_BS, "minus", cfg)
         assert sum(r.n_cycles for r in table.rows) == 3
+    elif op.startswith("fit"):
+        c = float(op[-1])
+        est = estimate_lyapunov(monodromic_family(int(op[5]), c), (0.005, 0.05), cfg)
+        assert est.center == (c == 0) and est.order % 2 == 0
     else:
         Z, params, _ = _producing_census(int(op[-1]))
         if op.startswith("null"):
