@@ -5,17 +5,19 @@ own smooth field, direction and window bound, all advanced together by one
 vectorised DOP853 (Hairer, Norsett & Wanner, *Solving ODEs I*, sections
 II.5-6), so that both sides of a displacement sample, the grids of several
 windows and several shifted fields share each round of stage evaluations.
-Step control is per lane and follows ``scipy.integrate.DOP853``; there are
-no chunks and no restarts.  Each round evaluates the dense output of every
-accepted step on a refined mesh, and array masks over (mesh point, lane)
-mark every window escape and every sign change of ``y`` at once.  A lane
-ends at its first marked mesh point, the only time it is looked at on its
-own: an escape ends it with :class:`NotInWindow`, a sign change is its
-return, solved on its interpolant by Brent's method.  The start lies
-exactly on the line, and a point after an exact zero is never marked, so
-the start itself never counts as a return.  Trajectories are kept only
-for callers that draw them.  A third state row, ``int div F dt``, which
-step control never reads, gives each return's slope exactly as
+Step control is per lane and follows ``scipy.integrate.DOP853``, except
+that each lane's first step is its start cap (:func:`_start_cap`), not
+scipy's initial-step heuristic; there are no chunks and no restarts.  Each
+round evaluates the dense output of every accepted step on a refined mesh,
+and array masks over (mesh point, lane) mark every window escape and every
+sign change of ``y`` at once.  A lane ends at its first marked mesh point,
+the only time it is looked at on its own: an escape ends it with
+:class:`NotInWindow`, a sign change is its return, solved on its
+interpolant by Brent's method.  The start lies exactly on the line, and a
+point after an exact zero is never marked, so the start itself never
+counts as a return.  Trajectories are kept only for callers that draw
+them.  A third state row, ``int div F dt``, which step control never
+reads, gives each return's slope exactly as
 ``phi'(x) = Y(x, 0) / Y(phi, 0) * exp(int div F dt)`` (Andronov,
 Leontovich, Gordon & Maier 1973); a batch of divergence-free fields, whose
 integral is exactly 0, carries no such row.  No scipy module is imported:
@@ -218,23 +220,6 @@ class _Lanes:
         out *= self.sgn
         return out
 
-    def select_initial_step(self, interval, max_step) -> None:
-        """``scipy.integrate._ivp.common.select_initial_step`` per lane; as
-        there, an empty ``interval`` gives a zero step."""
-        y, f = self.y[:2], self.f[:2]
-        scale = self.atol + np.abs(y) * self.rtol
-        d0 = _norm(y / scale) / math.sqrt(2.0)
-        d1 = _norm(f / scale) / math.sqrt(2.0)
-        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-        h0 = np.minimum(h0, interval)
-        f1 = self.rhs(y + h0 * f)[:2]
-        d2 = _norm((f1 - f) / scale) / math.sqrt(2.0) / h0
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
-        self.h = np.where(interval == 0, 0.0, np.minimum(
-            np.minimum(100 * h0, h1), np.minimum(interval, max_step)))
-
     def attempt(self, bound, max_step):
         """Try one step in every lane, clipped at ``bound``.
 
@@ -315,7 +300,7 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
         lanes = _Lanes(fields, np.array(starts, dtype=float).T, signs,
                        cfg.rel_tol, cfg.abs_tol)
         cap, span = _start_cap(lanes, cfg)
-        lanes.select_initial_step(span, cap)
+        lanes.h = np.minimum(cap, span)
 
         ids = np.arange(n)
         bounded = np.array([w is not None for w in windows])
@@ -388,7 +373,8 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
     [1, degree of Y], and 1 where r >= 1 or is not finite.  Then
     tau = m |g| / |g'|: at a quadratic fold, m = 1, the cap is
     |g| / |g'| / 2 bit for bit, and at a (2k, 2k) contact, m = 2k - 1, the
-    arc still takes about four capped steps, not 4(2k - 1).
+    arc still takes about four capped steps, not 4(2k - 1).  The first
+    step is min(cap, span), clipped at ``max_time`` in :meth:`_Lanes.attempt`.
     """
     t_scale = np.empty(lanes.y.shape[1])
     for n, field in enumerate(lanes.fields):
@@ -409,8 +395,7 @@ def _start_cap(lanes: _Lanes, cfg: IntegratorConfig):
         t_scale[at] = m * np.where((vy0 != 0) & (acc != 0),
                                    np.abs(vy0) / np.abs(acc), math.inf)
     cap = np.minimum(cfg.max_step, t_scale / 2.0)
-    span = np.minimum(_CAPPED_SPAN, 8.0 * t_scale)
-    return cap, np.minimum(span, cfg.max_time)
+    return cap, np.minimum(_CAPPED_SPAN, 8.0 * t_scale)
 
 
 def _one(result):
@@ -420,20 +405,11 @@ def _one(result):
     return result
 
 
-def integrate_to_sigma(field: SmoothField, start, direction: str,
+def integrate_to_sigma(field: SmoothField, sigma: int, x: float,
                        cfg: IntegratorConfig):
-    """Integrate one orbit of a smooth field until it returns to ``y = 0``.
-
-    ``direction`` is "forward" (along the field) or "backward" (against it);
-    the arc is unbounded in ``x`` (:func:`half_arcs` takes a bound).
-    Returns ``(x_return, trajectory)`` where the trajectory is an ``(n, 2)``
-    array of ``(x, y)`` states ending at the located crossing.
-    """
-    if direction not in ("forward", "backward"):
-        raise InputError(f"unknown direction {direction!r}")
-    sgn = 1.0 if direction == "forward" else -1.0
-    start = (float(start[0]), float(start[1]))
-    return _one(_arcs([field], [start], [sgn], [None], cfg)[0])
+    """One unbounded lane of :func:`half_arcs`: ``(x_return, trajectory)``
+    of the arc through ``(x, 0)`` into side ``sigma``'s half-plane."""
+    return _one(half_arcs([(field, sigma, x, None)], cfg)[0])
 
 
 def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
@@ -441,11 +417,12 @@ def half_arcs(lanes, cfg: IntegratorConfig, returns: bool = False) -> list:
     window)``: the arc of the smooth field through ``(x, 0)`` into side
     ``sigma``'s half-plane, forward in time where ``sigma * Y(x, 0) > 0``,
     backward otherwise, bounded by ``window`` (None for unbounded).  Per
-    lane: ``(x_return, trajectory)`` as :func:`integrate_to_sigma` gives
-    it, or with ``returns`` the return abscissa and the slope of the
-    half-return map there, which fixes the singularity (a tangency at
-    ``x = 0`` returns ``(0.0, nan)``), or the :class:`FilippovError` that
-    ended the lane (any other tangency start is an :class:`InputError`)."""
+    lane: ``(x_return, trajectory)``, the trajectory an ``(n, 2)`` array of
+    ``(x, y)`` states ending at the located crossing, or with ``returns``
+    the return abscissa and the slope of the half-return map there, which
+    fixes the singularity (a tangency at ``x = 0`` returns ``(0.0, nan)``),
+    or the :class:`FilippovError` that ended the lane (any other tangency
+    start is an :class:`InputError`)."""
     out: list = [None] * len(lanes)
     moving, signs = [], []
     for n, (field, sigma, x, _) in enumerate(lanes):

@@ -205,12 +205,14 @@ class V2LimitReport(Record):
 
 
 def validate_lambda(lam, k: int) -> None:
-    """Domain membership: nonzero, pairwise-distinct nodes of length 2k-2."""
+    """Domain membership: 2k-2 finite, nonzero, pairwise-distinct nodes."""
     lam = tuple(lam)
     if len(lam) != 2 * k - 2:
         raise InvalidLambda(
             f"expected {2 * k - 2} nodes for k={k}, got {len(lam)}")
     for a in lam:
+        if not math.isfinite(float(a)):
+            raise InvalidLambda(f"node {a} is not finite")
         if abs(float(a)) < MIN_NODE:
             raise InvalidLambda(f"node {a} too close to zero")
     for i in range(len(lam)):

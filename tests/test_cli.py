@@ -635,6 +635,26 @@ def test_non_finite_or_non_numeric_input_exits_one(tmp_path, monkeypatch,
         assert json.loads(report.read_text())["status"] == "error"
 
 
+@pytest.mark.parametrize("node", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["unfold", "verify-ladder", "verify-lemma1",
+                                     "verify-v2-limit", "cycles"])
+def test_non_finite_lambda_node_is_named(scenario_path, tmp_path, capsys,
+                                         command, node):
+    # json reads NaN and Infinity; the node is refused by name (or, where the
+    # ordering a1 < 0 < a2 is checked first, by that ordering), not blamed
+    # on epsilon
+    unfold = {"k": 2, "lambda": [-1.0, node], "epsilon": 0.1, "b": -1e-6,
+              "shift": "minus"}
+    path = scenario_path(family_doc("lam", 2, 1.0, unfold=unfold))
+    assert main([command, "--config", path]) == 1
+    report = json.loads((tmp_path / "out" / f"lam.{command}.json").read_text())
+    assert report["status"] == "error"
+    named = (f"node {node} is not finite", "ordered nodes a1 < 0 < a2")
+    assert any(n in report["diagnostics"][0] for n in named)
+    err = capsys.readouterr().err
+    assert any(n in err for n in named)
+
+
 _EXTREME = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308,
             float("nan"), float("inf"), float("-inf"), 0.0]
 

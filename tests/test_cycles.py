@@ -461,16 +461,16 @@ def test_bracket_diagnostics_tell_their_ends_apart(cfg):
 
 # Lane rounds per operation: one grid batch and at most two root batches
 # (the lockstep Brent solve with slope probes took 23, 26, 22 and 25).
-ROUND_CAPS = {"census_k2": 11, "census_k3": 11, "census_k4": 11, "scan_k1": 15}
+ROUND_CAPS = {"census_k2": 11, "census_k3": 11, "census_k4": 11, "scan_k1": 12}
 # Exactly, at seed 0: the producing censuses, the k = 1 scan, the null
 # censuses and the sweep's five Lyapunov fits (family k at c = 1 or 0).  A
 # census integrates only its invisible windows; its roots take one batch at
 # their Hermite estimates, and the scan's b = -1e-3 and -1e-4 roots one more
 # at their Newton steps.  A fit is one batch.
 EXACT_ROUNDS = {"census_k2": 11, "census_k3": 11, "census_k4": 11,
-                "scan_k1": 15, "null_k2": 6, "null_k3": 6, "null_k4": 6,
-                "fit_k1_c1": 5, "fit_k2_c1": 5, "fit_k3_c1": 5,
-                "fit_k1_c0": 5, "fit_k2_c0": 5}
+                "scan_k1": 12, "null_k2": 6, "null_k3": 6, "null_k4": 6,
+                "fit_k1_c1": 4, "fit_k2_c1": 4, "fit_k3_c1": 4,
+                "fit_k1_c0": 4, "fit_k2_c0": 4}
 
 
 def _rounds(cfg, monkeypatch, op) -> int:

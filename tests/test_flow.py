@@ -31,18 +31,23 @@ def rotation_like():
     return SmoothField(Poly2.constant(1.0), Poly2({(1, 0): -1.0}))
 
 
+def stationary_start():
+    # x' = 1, y' = 1 - x^2: d2y/dt2 = -2x vanishes at (0, 0)
+    return SmoothField(Poly2.constant(1.0), Poly2({(0, 0): 1.0, (2, 0): -1.0}))
+
+
 # -- integrate_to_sigma ---------------------------------------------------------
 
 def test_arc_from_positive_abscissa(cfg):
-    # the arc through (0.1, 0) lives in backward time; level set gives -0.1
-    xr, path = integrate_to_sigma(rotation_like(), (0.1, 0.0), "backward", cfg)
+    # the upper arc through (0.1, 0) lives in backward time; level set gives -0.1
+    xr, path = integrate_to_sigma(rotation_like(), 1, 0.1, cfg)
     assert xr == pytest.approx(-0.1, abs=1e-9)
     assert len(path) > 5
     assert abs(path[-1][1]) < 1e-9
 
 
 def test_arc_from_negative_abscissa(cfg):
-    xr, _ = integrate_to_sigma(rotation_like(), (-0.2, 0.0), "forward", cfg)
+    xr, _ = integrate_to_sigma(rotation_like(), 1, -0.2, cfg)
     assert xr == pytest.approx(0.2, abs=1e-9)
 
 
@@ -50,25 +55,73 @@ def test_no_return(cfg):
     f = SmoothField(Poly2.constant(1.0), Poly2.constant(1.0))
     short = dataclasses.replace(cfg, max_time=5.0)
     with pytest.raises(NoReturn):
-        integrate_to_sigma(f, (0.0, 0.0), "forward", short)
+        integrate_to_sigma(f, 1, 0.0, short)
 
 
-def test_underflowing_start_scale_still_steps(cfg):
+@pytest.fixture()
+def first_steps(monkeypatch, cfg):
+    """Per batch, the step sizes ``h`` its first ``_Lanes.attempt`` starts
+    from, with the ``(cap, span)`` that :func:`flow._start_cap` gives its
+    lanes."""
+    seen = []
+    attempt = flow._Lanes.attempt
+
+    def spied(self, *args):
+        if not hasattr(self, "F"):  # no step tried yet
+            seen.append((self.h.copy(), *flow._start_cap(self, cfg)))
+        return attempt(self, *args)
+
+    monkeypatch.setattr(flow._Lanes, "attempt", spied)
+    return seen
+
+
+def test_first_step_is_the_start_cap(cfg, first_steps):
+    # lanes beside the k = 2 contact (cap < span), far from it, and where
+    # dy/dt is stationary (span < cap = max_step = inf): each starts from
+    # min(cap, span), whatever max_time
+    Z = monodromic_family(2, 1.0)
+    lanes = [(f, s, x, None) for _, s, f in Z.sides() for x in (0.01, 0.2, 0.9)]
+    lanes.append((stationary_start(), 1, 0.0, None))
+    for max_time in (cfg.max_time, 0.1):
+        flow.half_arcs(lanes, dataclasses.replace(cfg, max_time=max_time))
+    (h, cap, span), (h_short, *_) = first_steps
+    np.testing.assert_array_equal(h, np.minimum(cap, span))
+    np.testing.assert_array_equal(h_short, h)
+    assert (cap < span).any() and span[-1] < cap[-1]
+
+
+def test_underflowing_start_scale_still_steps(cfg, first_steps):
     # x' = 3, y' = x from (5e-324, 0): the vertical time scale |y'|/|y''|
-    # underflows to 0, so the start cap holds for no time; the initial step
-    # is then 0 as in scipy for an empty interval, not NaN, and the lane
-    # steps on from the smallest step instead of retrying a NaN one forever
+    # underflows to 0, so the start cap holds for no time; the first step
+    # is then 0, not NaN, and the lane steps on from the smallest step
+    # instead of retrying a NaN one forever
     field = SmoothField(Poly2.constant(3.0), Poly2({(1, 0): 1.0}))
-    lanes = _Lanes([field], np.array([[5e-324], [0.0]]), [-1.0],
-                   cfg.rel_tol, cfg.abs_tol)
-    cap, span = flow._start_cap(lanes, cfg)
-    assert span[0] == 0.0 and not np.isnan(cap[0])
-    with np.errstate(all="ignore"):
-        lanes.select_initial_step(span, cap)
-    assert lanes.h[0] == 0.0
     with pytest.raises(NoReturn):
-        integrate_to_sigma(field, (5e-324, 0.0), "backward",
-                           dataclasses.replace(cfg, max_time=1.0))
+        integrate_to_sigma(field, -1, 5e-324, dataclasses.replace(cfg, max_time=1.0))
+    (h, cap, span), = first_steps
+    assert span[0] == 0.0 and not np.isnan(cap[0]) and h[0] == 0.0
+
+
+def test_stationary_vertical_speed_start(cfg, first_steps):
+    # from (0, 0) the time scale is infinite and the first step is the
+    # capped span; the orbit y = x - x^3/3 returns at sqrt(3) with slope
+    # Y(0)/Y(sqrt 3) = -1/2
+    (phi, slope), = flow.half_arcs([(stationary_start(), 1, 0.0, None)], cfg,
+                                   returns=True)
+    assert abs(phi - math.sqrt(3.0)) <= 1e-12
+    assert slope == pytest.approx(-0.5, rel=1e-12)
+    (h, cap, span), = first_steps
+    assert cap[0] == math.inf and h[0] == span[0] == flow._CAPPED_SPAN
+
+
+def test_integrate_to_sigma_is_one_half_arcs_lane(cfg):
+    lanes = [(rotation_like(), 1, 0.1, None), (rotation_like(), 1, -0.2, None),
+             (cross_coupled_system().lower, -1, 0.05, None)]
+    for (field, sigma, x, _), (xr_lane, path_lane) in zip(
+            lanes, flow.half_arcs(lanes, cfg)):
+        xr, path = integrate_to_sigma(field, sigma, x, cfg)
+        assert np.float64(xr).tobytes() == np.float64(xr_lane).tobytes()
+        assert path.tobytes() == path_lane.tobytes()
 
 
 def start_caps(fields, xs, cfg):
@@ -107,11 +160,6 @@ def test_start_cap_reads_the_contact_multiplicity(cfg, k):
 def test_start_cap_is_unchanged_at_quadratic_folds(cfg, Z):
     cap, simple = start_caps([Z.upper, Z.lower], ORACLE_XS, cfg)
     np.testing.assert_array_equal(cap, simple)
-
-
-def test_bad_direction(cfg):
-    with pytest.raises(InputError):
-        integrate_to_sigma(rotation_like(), (0.1, 0.0), "up", cfg)
 
 
 def test_window_escape(cfg):
@@ -266,10 +314,7 @@ def _lane_vs_scipy(sgn, T, rtol, atol, max_step, first_step):
     ref = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rtol, atol=atol,
                     max_step=max_step, first_step=first_step, dense_output=True)
     lanes = _Lanes([field], np.array([y0]).T, [sgn], rtol, atol)
-    if first_step is None:
-        lanes.select_initial_step(np.array([T]), np.array([max_step]))
-    else:
-        lanes.h = np.array([first_step])
+    lanes.h = np.array([first_step])
     ts, ys, mids = [0.0], [y0], []
     while lanes.t[0] < T:
         accepted, failed = lanes.attempt(np.array([T]), np.array([max_step]))
@@ -292,7 +337,7 @@ def test_lane_matches_scipy_dop853(sgn):
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
-@pytest.mark.parametrize("first_step", [None, 1e-3])
+@pytest.mark.parametrize("first_step", [1e-3])
 @pytest.mark.parametrize("sgn", [1.0, -1.0])
 def test_lane_step_control_follows_scipy(sgn, first_step):
     # free step control: DOP853's error estimate cancels to ~1e-7 relative
