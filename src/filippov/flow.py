@@ -10,19 +10,18 @@ that each lane's first step is its start cap (:func:`_start_cap`), not
 scipy's initial-step heuristic; there are no chunks and no restarts.  Each
 round evaluates the dense output of every accepted step on a refined mesh,
 and array masks over (mesh point, lane) mark every window escape and every
-sign change of ``y`` at once.  A lane ends at its first marked mesh point,
-the only time it is looked at on its own: an escape ends it with
-:class:`NotInWindow`, a sign change is its return, solved on its
-interpolant by Brent's method.  The start lies exactly on the line, and a
-point after an exact zero is never marked, so the start itself never
-counts as a return.  Trajectories are kept only for callers that draw
-them.  A third state row, ``int div F dt``, which step control never
-reads, gives each return's slope exactly as
+sign change of ``y`` at once.  A lane ends at its first marked mesh point:
+an escape ends it with :class:`NotInWindow`, a sign change is its return,
+kept until the last round, when :func:`filippov.roots.brent_lanes` solves
+every return of the batch on its interpolant at once.  The start lies
+exactly on the line, and a point after an exact zero is never marked, so
+the start itself never counts as a return.  Trajectories are kept only
+for callers that draw them.  A third state row, ``int div F dt``, which
+step control never reads, gives each return's slope exactly as
 ``phi'(x) = Y(x, 0) / Y(phi, 0) * exp(int div F dt)`` (Andronov,
 Leontovich, Gordon & Maier 1973); a batch of divergence-free fields, whose
 integral is exactly 0, carries no such row.  No scipy module is imported:
-the DOP853 coefficient tables ship as package data (``dop853.json``), and
-crossings are solved by :func:`filippov.roots.brent`.
+the DOP853 coefficient tables ship as package data (``dop853.json``).
 
 Lanes never mix: every stage combination is summed elementwise in a fixed
 order, and the right-hand side evaluates each lane's column of
@@ -51,7 +50,7 @@ from .errors import (
 )
 from .field import PiecewiseField, SmoothField
 from .record import Record
-from .roots import brent
+from .roots import brent_lanes
 from .scenario import IntegratorConfig  # noqa: F401  (re-exported)
 
 
@@ -97,6 +96,8 @@ _THETAS = tuple((m + 1) / _SCAN_REFINE for m in range(_SCAN_REFINE))
 # Length of the time span after the start over which the tangency step
 # cap holds; past it resolution no longer matters.
 _CAPPED_SPAN = 0.25
+# Accepted steps of a lane before it ends in NoReturn (Hairer's NMAX).
+MAX_STEPS = 1000
 # Geometric grid size of the Lyapunov fit.
 LYAPUNOV_POINTS = 20
 
@@ -148,22 +149,15 @@ def _norm(v):
 
 
 def _interpolate(F, y_old, thetas):
-    """Dense output at step fractions ``thetas``: shape (len, 2, n)."""
-    th = np.asarray(thetas)[:, None, None]
-    out = np.zeros((len(thetas),) + y_old.shape)
+    """Dense output at step fractions ``thetas``: shape (len, rows, n) for a
+    tuple shared by all lanes, that of ``y_old`` for an array of one per lane."""
+    th = thetas if isinstance(thetas, np.ndarray) else np.asarray(thetas)[:, None, None]
+    rest = 1.0 - th
+    out = np.zeros(np.broadcast_shapes(th.shape, y_old.shape))
     for i, f in enumerate(F[::-1]):
         out += f
-        out *= th if i % 2 == 0 else 1.0 - th
+        out *= th if i % 2 == 0 else rest
     return out + y_old
-
-
-def _interpolate1(coeffs, y_old: float, theta: float) -> float:
-    """One component of one lane's dense output, as :func:`_interpolate`
-    computes it, operation for operation."""
-    c0, c1, c2, c3, c4, c5, c6 = coeffs
-    s = 1.0 - theta
-    return ((((((((0.0 + c6) * theta + c5) * s + c4) * theta + c3) * s + c2)
-              * theta + c1) * s + c0) * theta + y_old)
 
 
 class _Lanes:
@@ -290,7 +284,8 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
     ``(x_return, exp(int sgn * div F dt))``, or the :class:`FilippovError` that
     ended the lane; trajectories are ``(n, 2)`` arrays of ``(x, y)`` states
     ending at the located crossing.  At a mesh point that both leaves the
-    window and changes sign, the escape wins.
+    window and changes sign, the escape wins.  A lane ends in
+    :class:`NoReturn` at ``max_time`` or after :data:`MAX_STEPS` steps.
     """
     n = len(starts)
     out: list = [None] * n
@@ -302,14 +297,16 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
         cap, span = _start_cap(lanes, cfg)
         lanes.h = np.minimum(cap, span)
 
-        ids = np.arange(n)
+        ids, taken = np.arange(n), np.zeros(n, dtype=int)
         bounded = np.array([w is not None for w in windows])
         lo, hi = np.array([(-math.inf, math.inf) if w is None else w
                            for w in windows], dtype=float).T
         trails = [[np.array([s], dtype=float)] for s in starts] if paths else None
+        found = []  # per round: returned lanes, their steps' F and y_old, mesh index
         while ids.size:
             accepted, failed = lanes.attempt(
                 cfg.max_time, np.where(lanes.t < span, cap, cfg.max_step))
+            taken += accepted
             done = failed.copy()
             for i in np.flatnonzero(failed):
                 out[ids[i]] = StepFailure(
@@ -323,38 +320,37 @@ def _arcs(fields, starts, signs, windows, cfg: IntegratorConfig,
             cross = ((prev != 0) & (ys == 0)) | (prev * ys < 0)
             escape = bounded[at] & ~((lo[at] <= xs) & (xs <= hi[at]))
             flagged = cross | escape
-            first = flagged.argmax(axis=0)
-            for a in np.flatnonzero(flagged.any(axis=0)):
-                i, j, m = steps[a], at[a], first[a]
-                done[i] = True
-                if escape[m, a]:
-                    out[j] = NotInWindow(f"arc reached x={xs[m, a]:.6g} "
-                                         f"outside window {windows[j]}")
-                    continue
-                cx, cy, *cz = lanes.F[:, :, i].T.tolist()
-                x0, y0, *z0 = lanes.y_old[:, i].tolist()
-                th_star = _THETAS[m] if ys[m, a] == 0.0 else brent(
-                    lambda s: _interpolate1(cy, y0, s),
-                    _THETAS[m - 1] if m else 0.0, _THETAS[m])
-                x_star = _interpolate1(cx, x0, th_star)
-                if paths:
-                    out[j] = x_star, np.concatenate(trails[j] + [
-                        mesh[:m, :, a], [[x_star, _interpolate1(cy, y0, th_star)]]])
-                else:  # exp(0) = 1 where the lanes carry no integral
-                    out[j] = x_star, (float(np.exp(_interpolate1(
-                        cz[0], z0[0], th_star))) if cz else 1.0)
-            timeout = ~done & (lanes.t >= cfg.max_time)
-            for i in np.flatnonzero(timeout):
-                out[ids[i]] = NoReturn(
-                    f"no return to the switching line within max_time={cfg.max_time}")
-            done |= timeout
-            if paths:
-                for a in np.flatnonzero(~done[steps]):
-                    trails[at[a]].append(mesh[:, :, a])
+            marked, first = flagged.any(axis=0), flagged.argmax(axis=0)
+            done[steps[marked]] = True
+            esc = marked & escape[first, np.arange(first.size)]
+            for a in np.flatnonzero(esc):
+                out[at[a]] = NotInWindow(f"arc reached x={xs[first[a], a]:.6g} "
+                                         f"outside window {windows[at[a]]}")
+            ret = np.flatnonzero(marked & ~esc)
+            found.append((at[ret], lanes.F[:, :, steps[ret]],
+                          lanes.y_old[:, steps[ret]], first[ret]))
+            if paths:  # up to the first marked mesh point
+                for a, k in enumerate(np.where(marked, first, _SCAN_REFINE).tolist()):
+                    trails[at[a]].append(mesh[:k, :, a])
+            spent = ~done & ((lanes.t >= cfg.max_time) | (taken >= MAX_STEPS))
+            for i in np.flatnonzero(spent):
+                out[ids[i]] = NoReturn("no return to the switching line within " + (
+                    f"max_time={cfg.max_time}" if lanes.t[i] >= cfg.max_time
+                    else f"MAX_STEPS={MAX_STEPS} accepted steps"))
+            done |= spent
             if done.any():
                 keep = ~done
                 lanes.keep(keep)
-                ids, span, cap = ids[keep], span[keep], cap[keep]
+                ids, span, cap, taken = ids[keep], span[keep], cap[keep], taken[keep]
+
+        j, F, y_old, m = (np.concatenate(p, axis=-1) for p in zip(*found))
+        grid = np.array((0.0,) + _THETAS)
+        th = brent_lanes(lambda s, live: _interpolate(F[:, 1, live], y_old[1, live], s),
+                         grid[m], grid[m + 1])
+        x_star, y_star, *z = _interpolate(F, y_old, th).tolist()
+        slopes = np.exp(z[0]).tolist() if z else [1.0] * len(j)  # exp(0) = 1
+        for jr, x, y, slope in zip(j.tolist(), x_star, y_star, slopes):
+            out[jr] = x, (np.concatenate(trails[jr] + [[[x, y]]]) if paths else slope)
     return out
 
 

@@ -336,7 +336,10 @@ def build_perturbation(Z: PiecewiseField, params: UnfoldingParams,
 
     eps = float(params.epsilon)
     lam = [float(a) for a in params.lam]
-    too = f"epsilon={eps:g} is too {'large' if eps > 1 else 'small'}"
+    far = max(lam, key=abs)
+    too = (f"node {far:g} at epsilon={eps:g} puts its contact at "
+           f"x={eps * far:g}, beyond |x| = 1" if abs(eps * far) > 1
+           else f"epsilon={eps:g} is too {'large' if eps > 1 else 'small'}")
     out_of_range = InputError(f"{too}: the perturbation leaves the float range")
     try:
         sides = _coefficients_and_bounds(Z, data, lam, eps)

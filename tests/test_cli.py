@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -653,6 +654,35 @@ def test_non_finite_lambda_node_is_named(scenario_path, tmp_path, capsys,
     assert any(n in report["diagnostics"][0] for n in named)
     err = capsys.readouterr().err
     assert any(n in err for n in named)
+
+
+@pytest.mark.parametrize("node", [1e100, 1e300])
+@pytest.mark.parametrize("command", ["unfold", "cycles", "verify-lemma1"])
+def test_huge_lambda_node_is_named(scenario_path, tmp_path, command, node):
+    # a finite node whose contact epsilon * a lies far beyond |x| = 1 takes
+    # the perturbation out of the float range; the diagnostic names the
+    # node and its contact abscissa, not epsilon alone
+    unfold = {"k": 2, "lambda": [-1.0, node], "epsilon": 0.1, "b": -1e-6,
+              "shift": "minus"}
+    path = scenario_path(family_doc("lam", 2, 1.0, unfold=unfold))
+    assert main([command, "--config", path]) == 1
+    report = json.loads((tmp_path / "out" / f"lam.{command}.json").read_text())
+    assert report["status"] == "error"
+    assert f"node {node:g} at epsilon=" in report["diagnostics"][0]
+    assert "puts its contact at x=" in report["diagnostics"][0]
+
+
+@pytest.mark.parametrize("epsilon", ["1e3", "1e4", "1e5", "1e8"])
+@pytest.mark.parametrize("command", ["cycles", "scan", "portrait"])
+def test_extreme_epsilon_ends_within_seconds(tmp_path, command, epsilon):
+    # windows 1e3 to 1e8 wide: every lane ends within its step budget, so
+    # each command ends in an exit code and a report within 10 s
+    t0 = time.perf_counter()
+    code = main([command, "--config", str(ROOT / "scenarios" / "four-fold-c1.json"),
+                 "--out", str(tmp_path), "--epsilon", epsilon, "--b=1e-300"])
+    assert time.perf_counter() - t0 < 10.0
+    assert code in (0, 1, 2, 3)
+    assert (tmp_path / f"four-fold-c1.{command}.json").exists()
 
 
 _EXTREME = [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2e-308,

@@ -19,10 +19,10 @@ from filippov import (
     integrate_to_sigma,
     monodromic_family,
 )
-from filippov import flow
+from filippov import cycles, flow, roots
 from filippov.errors import FilippovError, InputError, NoReturn, NotInWindow
 from filippov.field import SIGMA, SmoothField
-from filippov.flow import _interpolate, _interpolate1, _Lanes
+from filippov.flow import _interpolate, _Lanes
 from filippov.poly import Poly2
 from filippov.unfold import expected_invisible_indices, unfolded_shifted
 
@@ -56,6 +56,18 @@ def test_no_return(cfg):
     short = dataclasses.replace(cfg, max_time=5.0)
     with pytest.raises(NoReturn):
         integrate_to_sigma(f, 1, 0.0, short)
+
+
+def test_step_budget_ends_a_lane(cfg, monkeypatch):
+    # the arc through (0.1, 0) runs for time 0.2, 200 steps of max_step:
+    # within the budget it returns, past it the lane ends in NoReturn
+    # naming the budget
+    fine = dataclasses.replace(cfg, max_step=0.001)
+    xr, _ = integrate_to_sigma(rotation_like(), 1, 0.1, fine)
+    assert xr == pytest.approx(-0.1, abs=1e-9)
+    monkeypatch.setattr(flow, "MAX_STEPS", 100)
+    with pytest.raises(NoReturn, match="MAX_STEPS=100 accepted steps"):
+        integrate_to_sigma(rotation_like(), 1, 0.1, fine)
 
 
 @pytest.fixture()
@@ -355,12 +367,19 @@ _COEFF = st.floats(-1e100, 1e100, allow_nan=False)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.lists(_COEFF, min_size=7, max_size=7), _COEFF, st.floats(0.0, 1.0))
-def test_interpolate1_is_interpolate_bit_for_bit(coeffs, y_old, theta):
-    F = np.array(coeffs)[:, None, None]
-    want = _interpolate(F, np.array([[y_old]]), [theta])[0, 0, 0]
-    assert np.float64(_interpolate1(coeffs, y_old, theta)).tobytes() \
-        == want.tobytes()
+@given(st.lists(st.tuples(st.lists(_COEFF, min_size=14, max_size=14),
+                          st.tuples(_COEFF, _COEFF), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6))
+def test_interpolate_per_lane_theta_is_the_grid_bit_for_bit(lanes):
+    # each lane's dense output at its own step fraction equals, bit for
+    # bit, the same lane's row of a theta grid that holds the fraction
+    F = np.array([c for c, _, _ in lanes]).T.reshape(7, 2, len(lanes))
+    y_old = np.array([y for _, y, _ in lanes]).T
+    thetas = np.array([t for _, _, t in lanes])
+    grid = _interpolate(F, y_old, tuple(thetas))
+    want = grid[np.arange(len(lanes)), :, np.arange(len(lanes))].T
+    assert _interpolate(F, y_old, thetas).tobytes() == want.tobytes()
+    assert _interpolate(F[:, 1], y_old[1], thetas).tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 600])
@@ -623,6 +642,29 @@ def test_cross_coupled_numeric_matches_formula(cfg):
 def test_window_validation(cfg):
     with pytest.raises(InputError):
         estimate_lyapunov(monodromic_family(1, 1.0), (-0.1, 0.1), cfg)
+
+
+def test_census_and_scan_solve_crossings_in_lane_batches(cfg, monkeypatch):
+    # with the scalar Brent raising, a census and a scan still pass: every
+    # arc crossing is solved by brent_lanes, once per arc batch
+    def scalar(*args):
+        raise AssertionError("an arc crossing reached the scalar brent")
+
+    monkeypatch.setattr(roots, "brent", scalar)
+    monkeypatch.setattr(flow, "brent", scalar, raising=False)
+    batches = []
+    lanes = flow.brent_lanes
+    monkeypatch.setattr(flow, "brent_lanes",
+                        lambda f, a, b: batches.append(len(a)) or lanes(f, a, b))
+    k, lam, eps, b = _CENSUS["k2"]
+    Z = monodromic_family(k, 1.0)
+    rep = cycles.cycle_census(Z, UnfoldingParams(k=k, lam=lam, epsilon=eps,
+                                                 b=b, shift_convention="minus"), cfg)
+    assert rep.passed and len(rep.cycles) == k
+    table = cycles.pseudo_hopf_scan(monodromic_family(1, 1.0), [-1e-4, 1e-4],
+                                    "minus", cfg)
+    assert sorted(r.n_cycles for r in table.rows) == [0, 1]
+    assert len(batches) >= 2 and sum(batches) > 100
 
 
 def test_solve_ivp_is_a_lazy_module_attribute():
